@@ -70,16 +70,6 @@ SQRT3 = math.sqrt(3.0)
 #: Upper edge of the proven Student's-t range; a_student_t refuses y past it.
 STUDENT_T_Y_MAX = math.sqrt(6.0) / 2.0
 
-ANTI_CONCENTRATED_FAMILIES = frozenset({
-    FamilyId.UNIFORM,
-    FamilyId.EXPONENTIAL,
-    FamilyId.GAUSSIAN,
-    FamilyId.STUDENT_T,
-})
-
-ZERO_INFIMUM_FAMILIES = frozenset(FamilyId) - ANTI_CONCENTRATED_FAMILIES
-
-
 class Classification(str, Enum):
     ANTI_CONCENTRATED = "anti-concentrated"
     ZERO_INFIMUM = "zero-infimum"
@@ -250,6 +240,19 @@ def a_student_t(y: float, config: SeriesConfig = DEFAULT_SERIES) -> AValue:
     value = clamp_probability(2.0 - 2.0 * best_cdf, context="a_student_t")
     return AValue(y=y, value=value, family=FamilyId.STUDENT_T,
                   detail=StudentTDetail(n0=m, argmax_n=best_n))
+
+
+#: A(y) of each family with a positive closed form; the others have A(y) = 0
+_CLOSED_FORMS: dict[FamilyId, Callable[..., AValue]] = {
+    FamilyId.UNIFORM: a_uniform,
+    FamilyId.EXPONENTIAL: a_exponential,
+    FamilyId.GAUSSIAN: a_gaussian,
+    FamilyId.STUDENT_T: a_student_t,
+}
+
+ANTI_CONCENTRATED_FAMILIES = frozenset(_CLOSED_FORMS)
+
+ZERO_INFIMUM_FAMILIES = frozenset(FamilyId) - ANTI_CONCENTRATED_FAMILIES
 
 
 # --- epsilon-witness construction for the nine zero-infimum families ------

@@ -6,8 +6,9 @@
     anticonc verify  [specfun|closed-forms|witnesses|oracles|all]
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
-A JSON config file (--config, or the ANTICONC_CONFIG environment
-variable) overrides the numeric defaults; --seed overrides the seed.
+For `curve` and `verify`, a JSON config file (--config, or the
+ANTICONC_CONFIG environment variable) overrides the numeric defaults;
+--seed overrides the seed.
 CSV output is deterministic byte-for-byte for fixed flags, config, and
 seed: floats are printed with round-trip %.17g formatting.
 """
@@ -51,23 +52,19 @@ def _fail(message: str) -> int:
     return USAGE_ERROR
 
 
-def _curve_row(family: FamilyId, y: float, config: NumericConfig,
-               numeric_fallback: bool):
+def _curve_row(family: FamilyId, y: float, config: NumericConfig):
     """(value, detail-string, detail-json) for one curve point."""
-    if family is FamilyId.UNIFORM:
-        return anti.a_uniform(y).value, "", None
-    if family is FamilyId.EXPONENTIAL:
-        return anti.a_exponential(y).value, "", None
-    if family is FamilyId.GAUSSIAN:
-        return anti.a_gaussian(y).value, "", None
-    if family is FamilyId.STUDENT_T:
-        if y < anti.STUDENT_T_Y_MAX:
-            av = anti.a_student_t(y, config.series())
-            d = {"n0": av.detail.n0, "argmax_n": av.detail.argmax_n}
-            return av.value, f"n0={av.detail.n0};argmax_n={av.detail.argmax_n}", d
+    a_fn = anti._CLOSED_FORMS.get(family)
+    if a_fn is None:
+        return 0.0, "zero-infimum", "zero-infimum"
+    if family is not FamilyId.STUDENT_T:
+        return a_fn(y).value, "", None
+    if y >= anti.STUDENT_T_Y_MAX:
         est = oracle.grid_infimum(family, y, oracle.default_grid(family))
         return est.value, "numeric-grid:n=3..400", "numeric-grid:n=3..400"
-    return 0.0, "zero-infimum", "zero-infimum"
+    av = a_fn(y, config.series())
+    d = {"n0": av.detail.n0, "argmax_n": av.detail.argmax_n}
+    return av.value, f"n0={av.detail.n0};argmax_n={av.detail.argmax_n}", d
 
 
 def cmd_curve(args) -> int:
@@ -91,8 +88,7 @@ def cmd_curve(args) -> int:
     rows = []
     try:
         for y in ys:
-            value, detail_s, detail_j = _curve_row(family, float(y), config,
-                                                   args.numeric_fallback)
+            value, detail_s, detail_j = _curve_row(family, float(y), config)
             rows.append((float(y), value, detail_s, detail_j))
     except DomainError as exc:
         return _fail(str(exc))
@@ -110,10 +106,9 @@ def cmd_curve(args) -> int:
 
 def cmd_tail(args) -> int:
     try:
-        config = _load_config(args)  # honored for config-file validation
         family = dist._as_family(args.family)
         params = json.loads(args.params)
-    except (DomainError, OSError, ValueError) as exc:
+    except (DomainError, ValueError) as exc:
         return _fail(str(exc))
     if not isinstance(params, dict):
         return _fail("--params must be a JSON object of parameter fields")
@@ -130,9 +125,8 @@ def cmd_tail(args) -> int:
 
 def cmd_witness(args) -> int:
     try:
-        _load_config(args)
         family = dist._as_family(args.family)
-    except (DomainError, OSError, ValueError) as exc:
+    except DomainError as exc:
         return _fail(str(exc))
     if family in anti.ANTI_CONCENTRATED_FAMILIES:
         return _fail(f"family {family.value} is anti-concentrated: its tail "
@@ -193,14 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--params", required=True, help='JSON object, e.g. {"lambda": 1.0}')
     p.add_argument("--y", type=float, required=True)
-    add_common(p)
     p.set_defaults(fn=cmd_tail)
 
     p = sub.add_parser("witness", help="parameters pushing the tail below epsilon")
     p.add_argument("--family", required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    add_common(p)
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="run self-check suites")

@@ -2,9 +2,9 @@
 
 One record collects every tunable tolerance: the 2F1 series truncation,
 the oracle quadrature tolerance, the Monte Carlo sample count, and the
-master seed.  The CLI reads it from a JSON file (--config or the
-ANTICONC_CONFIG environment variable); the library defaults match the
-values the acceptance tolerances were pinned against.
+master seed.  The CLI commands `curve` and `verify` read it from a JSON
+file (--config or the ANTICONC_CONFIG environment variable); the library
+defaults match the values the acceptance tolerances were pinned against.
 
 Random streams are numpy PCG64 generators: reproducible from a 64-bit
 seed, period 2^128.  Per-task streams are derived from the master seed

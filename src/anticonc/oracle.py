@@ -23,6 +23,7 @@ from .distributions import (
     ParamSet,
     _as_family,
     moments,
+    require_valid,
     sample,
     tail_probability,
     validate,
@@ -63,9 +64,7 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     """Empirical fraction of |X - mu| >= y*sigma over a seeded PCG64 stream."""
-    problems = validate(ps)
-    if problems:
-        raise DomainError(f"invalid {ps.family.value} parameters: " + "; ".join(problems))
+    require_valid(ps)
     if not (isinstance(n_samples, int) and n_samples >= 1000):
         raise DomainError(f"mc_tail requires n_samples >= 1000, got {n_samples!r}")
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0):

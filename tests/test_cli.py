@@ -152,26 +152,34 @@ class TestVerifyAndConfig:
         assert "checks passed" in out
 
     def test_missing_config_file_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "tail", "--family", "exponential",
-                           "--params", '{"lambda": 1.0}', "--y", "1.0",
+        code, _, err = run(capsys, "curve", "--family", "student-t",
+                           "--y-min", "0.5", "--y-max", "1", "--steps", "2",
                            "--config", "/nonexistent/config.json")
         assert code == 2
 
     def test_config_file_and_env_fallback(self, capsys, tmp_path, monkeypatch):
+        curve = ("curve", "--family", "student-t", "--y-min", "0.5", "--y-max", "1",
+                 "--steps", "2")
         cfg = tmp_path / "numeric.json"
-        cfg.write_text('{"mc_samples": 2000, "seed": 7}')
-        code, _, _ = run(capsys, "tail", "--family", "exponential",
-                         "--params", '{"lambda": 1.0}', "--y", "1.0",
-                         "--config", str(cfg))
+        cfg.write_text('{"rel_tol": 1e-14, "max_terms": 100000, "seed": 7}')
+        code, _, _ = run(capsys, *curve, "--config", str(cfg))
         assert code == 0
         monkeypatch.setenv("ANTICONC_CONFIG", str(cfg))
+        code, out, _ = run(capsys, *curve)
+        assert code == 0
+        monkeypatch.setenv("ANTICONC_CONFIG", "/nonexistent/config.json")
+        code, _, _ = run(capsys, *curve)
+        assert code == 2
+
+    def test_tail_and_witness_ignore_the_config(self, capsys, monkeypatch):
+        monkeypatch.setenv("ANTICONC_CONFIG", "/nonexistent/config.json")
         code, out, _ = run(capsys, "tail", "--family", "exponential",
                            "--params", '{"lambda": 1.0}', "--y", "1.0")
         assert code == 0
-        monkeypatch.setenv("ANTICONC_CONFIG", "/nonexistent/config.json")
-        code, _, _ = run(capsys, "tail", "--family", "exponential",
-                         "--params", '{"lambda": 1.0}', "--y", "1.0")
-        assert code == 2
+        assert json.loads(out)["method"] == "closed-form"
+        code, _, _ = run(capsys, "witness", "--family", "poisson",
+                         "--y", "1", "--epsilon", "0.01")
+        assert code == 0
 
     def test_rejects_unknown_config_keys(self, capsys, tmp_path):
         cfg = tmp_path / "numeric.json"

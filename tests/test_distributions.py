@@ -48,6 +48,13 @@ class TestValidate:
         ps = ParamSet(FamilyId.POISSON, {"lambda": math.nan})
         assert ac.validate(ps)
 
+    def test_string_family_tag_is_a_family_id(self):
+        assert ParamSet("uniform", {"a": 0.0, "b": 1.0}).family is FamilyId.UNIFORM
+        with pytest.raises(DomainError, match="a must be < b"):
+            ac.tail_probability(ParamSet("uniform", {"a": 2.0, "b": 1.0}), 1.0)
+        with pytest.raises(DomainError, match="unknown family"):
+            ParamSet("cauchy", {})
+
     def test_integer_fields_enforced(self):
         assert ac.validate(ParamSet(FamilyId.BINOMIAL, {"n": 2.5, "p": 0.3}))
 
