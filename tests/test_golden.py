@@ -1,9 +1,10 @@
 """Golden gate: CLI output and core numerics, byte for byte.
 
 `golden.json` holds, for a fixed panel of commands, the stdout, stderr
-and exit code of `cli.main`, and the `repr` of `moments`, `cdf`,
-`sample` and `tail_probability` results at fixed laws.  A change meant
-to leave output alone (a refactor) must pass this module unchanged.
+and exit code of `cli.main`, the `repr` of `moments`, `cdf`, `sample`
+and `tail_probability` results at fixed laws, and the stdout of each
+script in `demos/`.  A change meant to leave output alone (a refactor)
+must pass this module unchanged.
 
 Re-record only for an intended change of output:
 
@@ -22,6 +23,8 @@ from anticonc import cli
 from anticonc.errors import DomainError, InternalError
 
 DATA = Path(__file__).with_name("golden.json")
+DEMO_DIR = Path(__file__).parent.parent / "demos"
+DEMOS = sorted(path.name for path in DEMO_DIR.glob("*.py"))
 SAMPLE_SEED = 20240118
 Y_PANEL = (0.5, 1.0, 2.0)
 
@@ -174,17 +177,31 @@ def run_lib(case):
         return f"{type(exc).__name__}: {exc}"
 
 
+def run_demo(name):
+    """The stdout of one demo script, run in-process."""
+    import contextlib
+    import io
+    import runpy
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMO_DIR / name), run_name="__main__")
+    return out.getvalue()
+
+
 def record() -> dict:
     cli_cases = {key: {"argv": argv, **run_cli(argv)} for key, argv in _cli_panel().items()}
     lib_cases = {key: {**case, "repr": run_lib(case)} for key, case in _lib_panel().items()}
-    return {"cli": cli_cases, "lib": lib_cases}
+    demo_cases = {name: {"stdout": run_demo(name)} for name in DEMOS}
+    return {"cli": cli_cases, "lib": lib_cases, "demos": demo_cases}
 
 
 def _load():
     return json.loads(DATA.read_text())
 
 
-GOLDEN = _load() if DATA.exists() else {"cli": {}, "lib": {}}
+# a section missing from the data (before it is first recorded) is empty
+GOLDEN = {"cli": {}, "lib": {}, "demos": {}, **(_load() if DATA.exists() else {})}
 
 
 @pytest.fixture(autouse=True)
@@ -205,8 +222,14 @@ def test_library_values_unchanged(key):
     assert run_lib(case) == case["repr"]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN["demos"]))
+def test_demo_output_unchanged(name):
+    assert run_demo(name) == GOLDEN["demos"][name]["stdout"]
+
+
 def test_golden_data_present():
     assert len(GOLDEN["cli"]) > 100 and len(GOLDEN["lib"]) > 100
+    assert sorted(GOLDEN["demos"]) == DEMOS
 
 
 if __name__ == "__main__":
