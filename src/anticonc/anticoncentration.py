@@ -4,14 +4,15 @@ P(|X - mu| >= y * sigma).
 Four families have a strictly positive closed form (uniform, exponential,
 Gaussian, Student's t); the other nine have A(y) = 0, certified here by
 constructing explicit parameters whose standardized tail falls below any
-requested epsilon.
+requested epsilon.  Each of the nine has one ray in `_RAYS`, and one
+search walks and bisects every ray.
 
-The Student's t curve needs its CDF in hypergeometric form,
-    F_n(x) = 1/2 + x * G(n) * 2F1(1/2, (n+1)/2; 3/2; -x^2/n),
-    G(n) = Gamma((n+1)/2) / (sqrt(n*pi) * Gamma(n/2)),
-and a finite cutoff on the degrees-of-freedom scan: past cutoff_dof(y)
-the central mass P(|X_n| < y*sqrt(n/(n-2))) is provably decreasing, so
-the infimum over all n >= 3 reduces to a maximum over a short range.
+The Student's t curve takes its CDF (hypergeometric form) from
+`distributions`, and a finite cutoff on the degrees-of-freedom scan:
+past cutoff_dof(y) the central mass P(|X_n| < y*sqrt(n/(n-2))) is
+provably decreasing, so the infimum over all n >= 3 reduces to a
+maximum over a short range.  The cutoff is the larger root of a
+quadratic in n.
 """
 
 from __future__ import annotations
@@ -33,17 +34,12 @@ from .distributions import (
     neg_binomial,
     pareto,
     poisson,
+    student_t_cdf,
     tail_probability,
     weibull,
 )
-from .errors import DomainError, InternalError, SearchError
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesConfig,
-    clamp_probability,
-    gauss_2f1,
-    log_gamma,
-)
+from .errors import DomainError, SearchError
+from .specfun import DEFAULT_SERIES, SeriesConfig, clamp_probability
 
 __all__ = [
     "Classification",
@@ -170,42 +166,37 @@ def cutoff_ratio(n: int) -> float:
     return (3.0 * nf * nf - 14.0 * nf + 16.0) / (2.0 * nf * nf - 6.0 * nf + 3.0)
 
 
-_CUTOFF_SCAN_CAP = 10**6
-
-
 def cutoff_dof(y: float) -> int:
-    """Smallest n >= 3 with y^2 < cutoff_ratio(n); defined for 0 < y < sqrt(6)/2."""
+    """Smallest n >= 3 with y^2 < cutoff_ratio(n); defined for 0 < y < sqrt(6)/2.
+
+    For n >= 3 the test is (3 - 2y^2) n^2 + (6y^2 - 14) n + (16 - 3y^2) > 0.
+    The parabola opens upward (y^2 < 3/2) and its discriminant
+    12y^4 - 4y^2 + 4 is positive, so the test holds past its larger root.
+    The root is taken in floating point, and the boundary integer is then
+    settled with the float test itself, galloping out from the root and
+    bisecting.  Near y = sqrt(6)/2 the float ratio stalls on plateaus of
+    up to ~1e14 equal values, so stepping one n at a time would not end.
+    """
     y = _check_y(y)
     if y >= STUDENT_T_Y_MAX:
         raise DomainError(
             f"cutoff_dof requires y < sqrt(6)/2 = {STUDENT_T_Y_MAX!r}, got {y}")
     y2 = y * y
-    n = 3
-    while not (y2 < cutoff_ratio(n)):
-        n += 1
-        if n > _CUTOFF_SCAN_CAP:
-            # unreachable for valid y: the sequence increases to 3/2 > y^2
-            raise InternalError("cutoff_dof scan exceeded its cap")
-    return n
-
-
-def student_t_cdf(n: int, x: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
-    """Student's t CDF with n degrees of freedom, in hypergeometric form.
-
-    Valid for every real x: the 2F1 evaluation routes -x^2/n of any size
-    through the Pfaff transformation.  The result is clamped to [0, 1]
-    (the formula's rounding can stray an ulp outside near the far tails).
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"student_t_cdf requires an integer n >= 1, got {n!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
-    if x == 0.0:
-        return 0.5
-    coeff = math.exp(log_gamma((n + 1) / 2.0) - log_gamma(n / 2.0)
-                     - 0.5 * math.log(n * math.pi))
-    hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x * x / n, config)
-    return clamp_probability(0.5 + x * coeff * hyp, context="student_t_cdf")
+    a, b, c = 3.0 - 2.0 * y2, 6.0 * y2 - 14.0, 16.0 - 3.0 * y2
+    n = max(3, math.floor((-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)) + 1)
+    # bracket the boundary: y2 < cutoff_ratio(hi) holds, at lo it fails (or lo = 2)
+    lo, hi, step = n - 1, n, 1
+    while not (y2 < cutoff_ratio(hi)):
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 2 and y2 < cutoff_ratio(lo):
+        lo, hi, step = max(2, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if y2 < cutoff_ratio(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def inner_probability(n: int, y: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -252,133 +243,104 @@ _CLOSED_FORMS: dict[FamilyId, Callable[..., AValue]] = {
 
 ANTI_CONCENTRATED_FAMILIES = frozenset(_CLOSED_FORMS)
 
-ZERO_INFIMUM_FAMILIES = frozenset(FamilyId) - ANTI_CONCENTRATED_FAMILIES
-
 
 # --- epsilon-witness construction for the nine zero-infimum families ------
 
+def _halve(t: float) -> float:
+    return t / 2.0
+
+
+def _split_float(ok: float, bad: float) -> Optional[float]:
+    """Midpoint of the bracket, until it is within 10% of ok."""
+    return 0.5 * (ok + bad) if (bad - ok) > 0.1 * ok else None
+
+
+def _split_int(ok: int, bad: int) -> Optional[int]:
+    """Integer midpoint of the bracket, until its ends are adjacent."""
+    return (ok + bad) // 2 if ok - bad > 1 else None
+
+
 @dataclass(frozen=True)
 class _Ray:
-    """One-dimensional path to the family's degenerate limit, indexed by
-    t > 0 shrinking to 0."""
+    """One-dimensional path to the family's degenerate limit.
 
-    build: Callable[[float], ParamSet]
-    t_start: float
+    From `start`, `step` moves toward the limit, where the tail falls
+    (t halves on the float rays, N doubles on the integer one);
+    `split(ok, bad)` is the next point to try between a certified point
+    and a refused one, or None once the bracket is tight enough.
+    """
+
+    build: Callable[..., ParamSet]
+    start: Union[float, int]
     description: str
+    step: Callable = _halve
+    split: Callable = _split_float
 
 
-_RAYS: dict[FamilyId, _Ray] = {
-    FamilyId.BINOMIAL: _Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
-    FamilyId.POISSON: _Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
-    FamilyId.NEG_BINOMIAL: _Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5,
-                                "r = 1, p -> 1"),
-    FamilyId.GAMMA: _Ray(lambda t: gamma_family(t, 1.0), 1.0,
-                         "beta = 1, alpha -> 0"),
-    FamilyId.PARETO: _Ray(lambda t: pareto(2.0 + t, 1.0), 1.0,
-                          "A = 1, r -> 2"),
-    FamilyId.WEIBULL: _Ray(lambda t: weibull(t, 1.0), 1.0,
-                           "lambda = 1, alpha -> 0"),
-    FamilyId.LOG_NORMAL: _Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0,
-                              "alpha = 0, sigma -> infinity"),
-    FamilyId.BETA: _Ray(lambda t: beta_family(1.0, t), 1.0,
-                        "p = 1, q -> 0"),
-}
+# keyed by the family each ray builds
+_RAYS: dict[FamilyId, _Ray] = {ray.build(ray.start).family: ray for ray in (
+    _Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
+    _Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
+    _Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1"),
+    _Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
+         step=lambda N: 2 * N, split=_split_int),
+    _Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0"),
+    _Ray(lambda t: pareto(2.0 + t, 1.0), 1.0, "A = 1, r -> 2"),
+    _Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0"),
+    _Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity"),
+    _Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0"),
+)}
 
-_HYPERGEOM_DESCRIPTION = "M = N - 1, n = 1, N -> infinity"
+ZERO_INFIMUM_FAMILIES = frozenset(_RAYS)
+
+
+def _ray(family: Union[FamilyId, str]) -> _Ray:
+    family = _as_family(family)
+    if family not in _RAYS:
+        raise DomainError(f"family {family.value} is anti-concentrated: its tail "
+                          "infimum is positive, so no epsilon-witness exists")
+    return _RAYS[family]
 
 
 def witness_ray_description(family: Union[FamilyId, str]) -> str:
     """Human-readable description of the limiting construction used."""
-    family = _as_family(family)
-    if family is FamilyId.HYPERGEOMETRIC:
-        return _HYPERGEOM_DESCRIPTION
-    if family in _RAYS:
-        return _RAYS[family].description
-    raise DomainError(f"{family.value} is anti-concentrated; it has no witness ray")
-
-
-def _witness_hypergeometric(y: float, epsilon: float, max_steps: int) -> Witness:
-    def tail_at(N: int) -> float:
-        return tail_probability(hypergeometric(N - 1, N, 1), y).probability
-
-    steps = 0
-    N = 2
-    tail = tail_at(N)
-    while tail > epsilon:
-        N *= 2
-        steps += 1
-        if steps > max_steps:
-            raise SearchError(
-                f"hypergeometric witness search exceeded {max_steps} doublings")
-        tail = tail_at(N)
-    if N > 2:
-        # smallest N that works: the tail is nonincreasing in N here
-        bad, good, good_tail = N // 2, N, tail
-        while good - bad > 1:
-            steps += 1
-            if steps > max_steps:
-                raise SearchError(
-                    f"hypergeometric witness search exceeded {max_steps} steps")
-            mid = (bad + good) // 2
-            t_mid = tail_at(mid)
-            if t_mid <= epsilon:
-                good, good_tail = mid, t_mid
-            else:
-                bad = mid
-        N, tail = good, good_tail
-    return Witness(FamilyId.HYPERGEOMETRIC, y, epsilon,
-                   hypergeometric(N - 1, N, 1), tail)
+    return _ray(family).description
 
 
 def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float,
                       max_steps: int = 200) -> Witness:
     """Concrete parameters with standardized tail at most epsilon.
 
-    Walks the family's limiting ray geometrically (factor 2 toward the
-    degenerate end) until the exact tail drops below epsilon, then
+    Walks the family's limiting ray (halving t, or doubling N for the
+    hypergeometric) until the exact tail drops below epsilon, then
     bisects back toward the boundary so the certificate is not wastefully
-    deep; integer families bisect to the exact boundary.  The achieved
-    tail always comes from the exact tail engine.
+    deep; the integer ray bisects to the exact boundary.  Each walk and
+    bisection step counts against max_steps.  The achieved tail always
+    comes from the exact tail engine.
     """
     family = _as_family(family)
+    ray = _ray(family)
     y = _check_y(y)
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if family in ANTI_CONCENTRATED_FAMILIES:
-        raise DomainError(
-            f"{family.value} is anti-concentrated: its tail infimum is positive, "
-            "so no epsilon-witness exists")
-    if family is FamilyId.HYPERGEOMETRIC:
-        return _witness_hypergeometric(y, float(epsilon), max_steps)
-
-    ray = _RAYS[family]
-
-    def tail_at(t: float) -> float:
-        return tail_probability(ray.build(t), y).probability
+    epsilon = float(epsilon)
 
     steps = 0
-    t = ray.t_start
-    tail = tail_at(t)
-    while tail > epsilon:
-        t /= 2.0
+    t, ok, bad = ray.start, None, None
+    while True:
+        tail = tail_probability(ray.build(t), y).probability
+        if tail <= epsilon:
+            ok, ok_tail = t, tail
+        else:
+            bad = t
+        if ok is None:
+            t = ray.step(t)  # still walking toward the degenerate end
+        else:
+            # bisect back toward the boundary; a certified start needs none
+            t = None if bad is None else ray.split(ok, bad)
+            if t is None:
+                return Witness(family, y, epsilon, ray.build(ok), ok_tail)
         steps += 1
         if steps > max_steps:
-            raise SearchError(
-                f"{family.value} witness search exceeded {max_steps} halvings "
-                f"(y={y}, epsilon={epsilon})")
-        tail = tail_at(t)
-    t_ok, tail_ok = t, tail
-    if t_ok < ray.t_start:
-        t_bad = 2.0 * t_ok
-        while (t_bad - t_ok) > 0.1 * t_ok:
-            steps += 1
-            if steps > max_steps:
-                raise SearchError(
-                    f"{family.value} witness bisection exceeded {max_steps} steps")
-            mid = 0.5 * (t_ok + t_bad)
-            t_mid = tail_at(mid)
-            if t_mid <= epsilon:
-                t_ok, tail_ok = mid, t_mid
-            else:
-                t_bad = mid
-    return Witness(family, y, float(epsilon), ray.build(t_ok), tail_ok)
+            raise SearchError(f"{family.value} witness search exceeded {max_steps} steps "
+                              f"(y={y}, epsilon={epsilon})")

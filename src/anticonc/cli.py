@@ -118,24 +118,20 @@ def cmd_tail(args) -> int:
         return _fail(f"invalid {family.value} parameters: " + "; ".join(problems))
     if not (args.y > 0 and math.isfinite(args.y)):
         return _fail(f"--y must be a positive real, got {args.y}")
-    result = dist.tail_probability(ps, args.y)
+    try:
+        result = dist.tail_probability(ps, args.y)
+    except DomainError as exc:  # e.g. a variance that overflows a double
+        return _fail(str(exc))
     print(json.dumps(result.to_json_dict(), sort_keys=True))
     return 0
 
 
 def cmd_witness(args) -> int:
     try:
-        family = dist._as_family(args.family)
-    except DomainError as exc:
-        return _fail(str(exc))
-    if family in anti.ANTI_CONCENTRATED_FAMILIES:
-        return _fail(f"family {family.value} is anti-concentrated: its tail "
-                     "infimum is positive, so no epsilon-witness exists")
-    try:
-        w = anti.witness_parameter(family, args.y, args.epsilon)
+        w = anti.witness_parameter(args.family, args.y, args.epsilon)
     except (DomainError, SearchError) as exc:
         return _fail(str(exc))
-    print(f"construction: {anti.witness_ray_description(family)}", file=sys.stderr)
+    print(f"construction: {anti.witness_ray_description(w.family)}", file=sys.stderr)
     print(json.dumps(w.to_json_dict(), sort_keys=True))
     return 0
 

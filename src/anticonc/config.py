@@ -34,10 +34,7 @@ class NumericConfig:
     seed: int = 123456789
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+        self.series()  # SeriesConfig checks rel_tol and max_terms
         if not (0.0 < self.quad_tol < 1.0):
             raise DomainError(f"quad_tol must lie in (0, 1), got {self.quad_tol}")
         if self.mc_samples < 1:

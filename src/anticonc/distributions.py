@@ -6,7 +6,8 @@ family's law is one `Family` record in `_FAMILIES`; the public functions
 look the record up and hold no per-family code, so adding a family means
 adding its `FamilyId` member, constructor and record.  Continuous tails
 come from closed-form CDF/survival pairs (special functions where
-needed); discrete tails are exact complements of an interior pmf sum
+needed; the Student's t CDF, in hypergeometric form, sits beside its
+record); discrete tails are exact complements of an interior pmf sum
 evaluated in log space.
 
 The |X - mu| >= y*sigma event is inclusive: an integer lattice point at
@@ -25,7 +26,10 @@ import numpy as np
 
 from .errors import DomainError, InternalError
 from .specfun import (
+    DEFAULT_SERIES,
+    SeriesConfig,
     clamp_probability,
+    gauss_2f1,
     log_gamma,
     reg_inc_beta,
     reg_inc_gamma_lower,
@@ -42,6 +46,7 @@ __all__ = [
     "cdf",
     "tail_probability",
     "sample",
+    "student_t_cdf",
     "uniform",
     "exponential",
     "gaussian",
@@ -296,14 +301,25 @@ def _t_moments(p: _Params) -> Moments:
     return Moments(0.0, n / (n - 2.0))
 
 
-def _t_cdf(p: _Params, x: float) -> float:
-    from .anticoncentration import student_t_cdf  # single source for the t CDF
-    return student_t_cdf(int(p["n"]), x)
+def student_t_cdf(n: int, x: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+    """Student's t CDF with n degrees of freedom, in hypergeometric form,
+        F_n(x) = 1/2 + x * G(n) * 2F1(1/2, (n+1)/2; 3/2; -x^2/n),
+        G(n) = Gamma((n+1)/2) / (sqrt(n*pi) * Gamma(n/2)).
 
-
-def _t_survival(p: _Params, x: float) -> float:
-    from .anticoncentration import student_t_cdf
-    return student_t_cdf(int(p["n"]), -x)
+    Valid for every real x: the 2F1 evaluation routes -x^2/n of any size
+    through the Pfaff transformation.  The result is clamped to [0, 1]
+    (the formula's rounding can stray an ulp outside near the far tails).
+    """
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"student_t_cdf requires an integer n >= 1, got {n!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
+    if x == 0.0:
+        return 0.5
+    coeff = math.exp(log_gamma((n + 1) / 2.0) - log_gamma(n / 2.0)
+                     - 0.5 * math.log(n * math.pi))
+    hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x * x / n, config)
+    return clamp_probability(0.5 + x * coeff * hyp, context="student_t_cdf")
 
 
 def _t_sample(p: _Params, rng: np.random.Generator, size):
@@ -462,7 +478,8 @@ _FAMILIES: dict[FamilyId, Family] = {
         fields=("n",), integer_fields=("n",),
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
         moments=_t_moments, method="special-function", abs_error_bound=1e-12,
-        sample=_t_sample, cdf=_t_cdf, survival=_t_survival),
+        sample=_t_sample, cdf=lambda p, x: student_t_cdf(int(p["n"]), x),
+        survival=lambda p, x: student_t_cdf(int(p["n"]), -x)),
     FamilyId.BINOMIAL: Family(
         fields=("n", "p"), integer_fields=("n",),
         # p = 1 would make the variance zero, which the standardized tail cannot use

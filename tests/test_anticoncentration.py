@@ -7,13 +7,16 @@ brute-force max over n <= 400 run against it.
 """
 
 import math
+import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import anticonc as ac
 from anticonc import FamilyId
-from anticonc.errors import DomainError
+from anticonc.errors import DomainError, SearchError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -108,6 +111,64 @@ class TestCutoff:
             ac.cutoff_dof(ac.STUDENT_T_Y_MAX)
         with pytest.raises(DomainError):
             ac.cutoff_dof(0.0)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_exact_rationals_near_the_edge(self, k):
+        # 1.5 - y^2 = 10^-k puts the cutoff near 2.5 * 10^k (2,500,001 at k = 6)
+        y = math.sqrt(1.5 - 10.0**-k)
+        start = time.perf_counter()
+        got = ac.cutoff_dof(y)
+        elapsed = time.perf_counter() - start
+        assert got == _exact_cutoff(y)
+        assert elapsed < 0.01
+        if k == 6:
+            assert got == 2_500_001
+
+    def test_matches_the_float_scan(self):
+        rng = random.Random(20240118)
+        top = math.sqrt(1.5 - 2.5e-5)  # n0 stays below 10^5
+        ys = [rng.uniform(1e-3, top) for _ in range(1600)]
+        # and 1.5 - y^2 log-uniform, so large cutoffs are well represented
+        ys += [math.sqrt(1.5 - 10.0 ** rng.uniform(math.log10(2.5e-5), 0.0))
+               for _ in range(400)]
+        assert [ac.cutoff_dof(y) for y in ys] == [_scanned_cutoff(y) for y in ys]
+
+    def test_ends_quickly_at_the_edge_of_the_range(self):
+        # near sqrt(6)/2 the float ratio repeats one value for ~1e14 n in a row
+        y = ac.STUDENT_T_Y_MAX
+        for _ in range(50):
+            y = math.nextafter(y, 0.0)
+            start = time.perf_counter()
+            n = ac.cutoff_dof(y)
+            assert time.perf_counter() - start < 0.01
+            assert y * y < ac.cutoff_ratio(n) and not y * y < ac.cutoff_ratio(n - 1)
+
+
+def _scanned_cutoff(y):
+    """The cutoff by a linear scan of the float test, from n = 3."""
+    y2 = y * y
+    n = 3
+    while not (y2 < ac.cutoff_ratio(n)):
+        n += 1
+    return n
+
+
+def _exact_cutoff(y):
+    """The cutoff with y^2 taken exactly, by bisection over rationals."""
+    y2 = Fraction(y) ** 2
+
+    def above(n):
+        return y2 * (2 * n * n - 6 * n + 3) < 3 * n * n - 14 * n + 16
+
+    if above(3):
+        return 3
+    lo, hi = 3, 4
+    while not above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi
 
 
 # frozen from scipy.stats.t.cdf
@@ -263,6 +324,27 @@ class TestWitnesses:
         assert w.achieved_tail <= epsilon
         recomputed = ac.tail_probability(w.params, y).probability
         assert recomputed == w.achieved_tail
+
+    @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
+                                              key=lambda f: f.value))
+    def test_search_out_of_steps_raises(self, family):
+        # every ray's start is far from certifying 1e-4, so the walk must step
+        with pytest.raises(SearchError, match=f"{family.value} witness search exceeded"):
+            ac.witness_parameter(family, 1.0, 1e-4, max_steps=1)
+
+    @pytest.mark.parametrize("family,epsilon,walk,steps", [
+        # N = 2 -> 256 in 7 doublings, then 7 bisections down to N = 200
+        ("hypergeometric", 0.005, 7, 14),
+        # lambda = 0.5 -> 0.5/64 in 6 halvings, then 3 bisections
+        ("poisson", 0.01, 6, 9),
+    ])
+    def test_search_runs_out_during_bisection(self, family, epsilon, walk, steps):
+        full = ac.witness_parameter(family, 1.0, epsilon)
+        assert ac.witness_parameter(family, 1.0, epsilon, max_steps=steps) == full
+        # the walk fits in these budgets; the bisection then runs out
+        for max_steps in (walk, steps - 1):
+            with pytest.raises(SearchError, match=f"exceeded {max_steps} steps"):
+                ac.witness_parameter(family, 1.0, epsilon, max_steps=max_steps)
 
     def test_ray_descriptions_exist_for_all_nine(self):
         for family in ac.ZERO_INFIMUM_FAMILIES:

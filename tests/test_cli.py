@@ -118,6 +118,18 @@ class TestTail:
                          "--params", "{not json", "--y", "1.0")
         assert code == 2
 
+    @pytest.mark.parametrize("family,params", [
+        ("pareto", '{"r": 2.5, "A": 1e300}'),
+        ("uniform", '{"a": -1e308, "b": 1e308}'),
+        ("gamma", '{"alpha": 1e200, "beta": 1e200}'),
+    ])
+    def test_moments_overflowing_a_double_are_usage_errors(self, capsys, family, params):
+        # valid laws whose mean - y*sd is not a finite double
+        code, out, err = run(capsys, "tail", "--family", family,
+                             "--params", params, "--y", "1.0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestWitness:
     def test_hypergeometric_certificate(self, capsys):
@@ -186,3 +198,14 @@ class TestVerifyAndConfig:
         cfg.write_text('{"tolerance": 1e-9}')
         code, _, err = run(capsys, "verify", "specfun", "--config", str(cfg))
         assert code == 2 and "unknown config keys" in err
+
+    @pytest.mark.parametrize("config,message", [
+        ('{"rel_tol": 0.0, "max_terms": 0}', "rel_tol must lie in (0, 1), got 0.0"),
+        ('{"max_terms": 0, "quad_tol": 2.0}', "max_terms must be >= 1, got 0"),
+        ('{"quad_tol": 2.0, "mc_samples": 0}', "quad_tol must lie in (0, 1), got 2.0"),
+    ])
+    def test_config_field_errors_in_order(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "numeric.json"
+        cfg.write_text(config)
+        code, _, err = run(capsys, "verify", "specfun", "--config", str(cfg))
+        assert code == 2 and err == f"error: {message}\n"
