@@ -5,6 +5,10 @@ oracle integrates the Student's-t density with scipy's adaptive QUADPACK
 rules (scipy's log-gamma, not ours), the Monte Carlo oracle estimates
 tails from seeded PCG64 streams, and the grid oracle brute-forces the
 parameter infimum that the closed forms claim to attain.
+
+scipy is imported on the first quadrature call, not with this module:
+it takes most of a second to load, and nothing else in the package
+needs it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln as _scipy_gammaln
 
 from .distributions import (
     FamilyId,
@@ -79,8 +81,8 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     return McEstimate(estimate=est, std_err=std_err, n_samples=n_samples, seed=seed)
 
 
-def _t_pdf(n: int):
-    log_coeff = float(_scipy_gammaln((n + 1) / 2.0) - _scipy_gammaln(n / 2.0)
+def _t_pdf(n: int, gammaln):
+    log_coeff = float(gammaln((n + 1) / 2.0) - gammaln(n / 2.0)
                       - 0.5 * math.log(n * math.pi))
     coeff = math.exp(log_coeff)
 
@@ -104,7 +106,9 @@ def quad_student_cdf(n: int, x: float, quad_tol: float = 1e-12) -> float:
         return 1.0 - quad_student_cdf(n, -x, quad_tol)
     if x == 0.0:
         return 0.5
-    value, err = integrate.quad(_t_pdf(n), 0.0, x, epsabs=quad_tol,
+    from scipy import integrate, special
+
+    value, err = integrate.quad(_t_pdf(n, special.gammaln), 0.0, x, epsabs=quad_tol,
                                 epsrel=1e-13, limit=500)
     if err > max(100.0 * quad_tol, 1e-10):
         raise ConvergenceError(
@@ -116,6 +120,8 @@ def quad_normal_symmetric_tail(y: float, quad_tol: float = 1e-12) -> float:
     """P(|Z| >= y) for standard normal Z, by quadrature of the density."""
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0):
         raise DomainError(f"quad_normal_symmetric_tail requires y > 0, got {y!r}")
+
+    from scipy import integrate
 
     def pdf(t: float) -> float:
         return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)

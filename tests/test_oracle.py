@@ -1,6 +1,11 @@
 """Oracle engines: Monte Carlo tails, t-density quadrature, grid infima."""
 
+import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +75,42 @@ class TestQuadNormalTail:
     def test_matches_erfc(self, y):
         want = math.erfc(y / math.sqrt(2.0))
         assert ac.quad_normal_symmetric_tail(y) == pytest.approx(want, abs=1e-12)
+
+
+# run in a fresh interpreter, since this test process may hold scipy already
+_IMPORT_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    sys.path.insert(0, sys.argv[1])
+
+    def scipy_modules():
+        return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+    import anticonc, anticonc.cli
+    anticonc.cli.build_parser()
+    after_parser = scipy_modules()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = anticonc.cli.main(["tail", "--family", "poisson",
+                                  "--params", sys.argv[2], "--y", "1.0"])
+    after_tail = scipy_modules()
+    value = anticonc.quad_student_cdf(5, 1.3)
+    print(json.dumps({"after_parser": after_parser, "tail_code": code,
+                      "after_tail": after_tail, "after_quad": scipy_modules(),
+                      "value": value}))
+""")
+
+
+def test_scipy_loads_with_the_first_quadrature_call_only():
+    from anticonc.verify import MC_PANEL
+
+    src = Path(ac.__file__).resolve().parent.parent
+    params = json.dumps(dict(MC_PANEL[ac.FamilyId.POISSON].params))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), params],
+                          capture_output=True, text=True, timeout=120, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["after_parser"] == []
+    assert probe["tail_code"] == 0 and probe["after_tail"] == []
+    assert "scipy.integrate" in probe["after_quad"]
+    assert probe["value"] == ac.quad_student_cdf(5, 1.3)
 
 
 class TestGridInfimum:
