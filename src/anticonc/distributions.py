@@ -694,6 +694,11 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
         return TailResult(prob, law.method, law.abs_error_bound)
 
     m = law.moments(p)
+    if not (math.isfinite(m.mean) and math.isfinite(m.variance)):
+        # no finite edge mu -/+ y*sigma to evaluate the law at
+        raise DomainError(f"{ps.family.value} moments overflow a double: " + ", ".join(
+            f"{name} is {value!r}" for name, value in vars(m).items()
+            if not math.isfinite(value)))
     sd = math.sqrt(m.variance)
     lo = m.mean - y * sd
     hi = m.mean + y * sd
@@ -705,7 +710,7 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
                               keep=lambda k: abs(k - m.mean) < y * sd)
         prob = clamp_probability(1.0 - inner, context="discrete tail")
     else:
-        _require_finite_x(lo)  # moments that overflow a double leave no finite edge
+        _require_finite_x(lo)  # y * sigma can still overflow a double
         prob = clamp_probability(law.cdf(p, lo) + law.survival(p, hi),
                                  context="continuous tail")
     return TailResult(prob, law.method, law.abs_error_bound)

@@ -129,6 +129,9 @@ class TestTail:
                              "--params", params, "--y", "1.0")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+        overflowed = {"pareto": "variance is inf", "uniform": "variance is inf",
+                      "gamma": "mean is inf"}[family]
+        assert f"{family} moments overflow a double" in err and overflowed in err
 
 
 class TestWitness:
