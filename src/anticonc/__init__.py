@@ -30,7 +30,6 @@ from .anticoncentration import (
     witness_parameter,
     witness_ray_description,
 )
-from .config import DEFAULT_CONFIG, NumericConfig
 from .distributions import (
     FamilyId,
     Moments,
@@ -69,8 +68,6 @@ from .oracle import (
     quad_student_cdf,
 )
 from .specfun import (
-    DEFAULT_SERIES,
-    SeriesConfig,
     gauss_2f1,
     log_gamma,
     reg_inc_beta,

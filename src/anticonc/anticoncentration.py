@@ -39,7 +39,7 @@ from .distributions import (
     weibull,
 )
 from .errors import DomainError, SearchError
-from .specfun import DEFAULT_SERIES, SeriesConfig, clamp_probability
+from .specfun import clamp_probability
 
 __all__ = [
     "Classification",
@@ -199,17 +199,17 @@ def cutoff_dof(y: float) -> int:
     return hi
 
 
-def inner_probability(n: int, y: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def inner_probability(n: int, y: float) -> float:
     """Central mass P(|X_n| < y * sqrt(n/(n-2))) for a t variable, n >= 3."""
     if not (isinstance(n, int) and n >= 3):
         raise DomainError(f"inner_probability requires an integer n >= 3, got {n!r}")
     y = _check_y(y)
     x = y * math.sqrt(n / (n - 2.0))
-    return clamp_probability(2.0 * student_t_cdf(n, x, config) - 1.0,
+    return clamp_probability(2.0 * student_t_cdf(n, x) - 1.0,
                              context="inner_probability")
 
 
-def a_student_t(y: float, config: SeriesConfig = DEFAULT_SERIES) -> AValue:
+def a_student_t(y: float) -> AValue:
     """A(y) over Student's t laws with n >= 3 degrees of freedom.
 
     Equals 2 - 2 * max over n in {3, ..., cutoff_dof(y) + 1} of
@@ -225,7 +225,7 @@ def a_student_t(y: float, config: SeriesConfig = DEFAULT_SERIES) -> AValue:
     best_cdf = -math.inf
     best_n = -1
     for n in range(3, m + 2):
-        fn = student_t_cdf(n, y * math.sqrt(n / (n - 2.0)), config)
+        fn = student_t_cdf(n, y * math.sqrt(n / (n - 2.0)))
         if fn > best_cdf:
             best_cdf, best_n = fn, n
     value = clamp_probability(2.0 - 2.0 * best_cdf, context="a_student_t")

@@ -6,11 +6,9 @@
     anticonc verify  [specfun|closed-forms|witnesses|oracles|all]
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
-For `curve` and `verify`, a JSON config file (--config, or the
-ANTICONC_CONFIG environment variable) overrides the numeric defaults;
---seed overrides the seed.
-CSV output is deterministic byte-for-byte for fixed flags, config, and
-seed: floats are printed with round-trip %.17g formatting.
+`verify --seed` sets the master seed of the Monte Carlo checks.
+CSV output is deterministic byte-for-byte for fixed flags: floats are
+printed with round-trip %.17g formatting.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -26,7 +23,6 @@ import numpy as np
 from . import anticoncentration as anti
 from . import distributions as dist
 from . import oracle, verify
-from .config import DEFAULT_CONFIG, NumericConfig
 from .distributions import FamilyId, ParamSet
 from .errors import DomainError, SearchError
 
@@ -38,21 +34,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(args) -> NumericConfig:
-    path = getattr(args, "config", None) or os.environ.get("ANTICONC_CONFIG")
-    config = NumericConfig.from_file(path) if path else DEFAULT_CONFIG
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        config = config.with_seed(seed)
-    return config
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return USAGE_ERROR
 
 
-def _curve_row(family: FamilyId, y: float, config: NumericConfig):
+def _curve_row(family: FamilyId, y: float):
     """(value, detail-string, detail-json) for one curve point."""
     a_fn = anti._CLOSED_FORMS.get(family)
     if a_fn is None:
@@ -62,16 +49,15 @@ def _curve_row(family: FamilyId, y: float, config: NumericConfig):
     if y >= anti.STUDENT_T_Y_MAX:
         est = oracle.grid_infimum(family, y, oracle.default_grid(family))
         return est.value, "numeric-grid:n=3..400", "numeric-grid:n=3..400"
-    av = a_fn(y, config.series())
+    av = a_fn(y)
     d = {"n0": av.detail.n0, "argmax_n": av.detail.argmax_n}
     return av.value, f"n0={av.detail.n0};argmax_n={av.detail.argmax_n}", d
 
 
 def cmd_curve(args) -> int:
     try:
-        config = _load_config(args)
         family = dist._as_family(args.family)
-    except (DomainError, OSError, ValueError) as exc:
+    except DomainError as exc:
         return _fail(str(exc))
     if not (0.0 < args.y_min < args.y_max):
         return _fail(f"need 0 < y-min < y-max, got [{args.y_min}, {args.y_max}]")
@@ -88,7 +74,7 @@ def cmd_curve(args) -> int:
     rows = []
     try:
         for y in ys:
-            value, detail_s, detail_j = _curve_row(family, float(y), config)
+            value, detail_s, detail_j = _curve_row(family, float(y))
             rows.append((float(y), value, detail_s, detail_j))
     except DomainError as exc:
         return _fail(str(exc))
@@ -137,12 +123,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config = _load_config(args)
-    except (DomainError, OSError, ValueError) as exc:
-        return _fail(str(exc))
     names = verify.SUITES if args.suite == "all" else (args.suite,)
-    results = verify.run_suites(names, config)
+    try:
+        results = verify.run_suites(names, args.seed)
+    except DomainError as exc:  # a seed outside 64 bits
+        return _fail(str(exc))
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -163,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "zero-infimum witnesses, and verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="path to a JSON NumericConfig override")
-        p.add_argument("--seed", type=int, help="override the master seed")
-
     p = sub.add_parser("curve", help="A(y) over an inclusive y grid")
     p.add_argument("--family", required=True)
     p.add_argument("--y-min", type=float, required=True)
@@ -176,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric-fallback", action="store_true",
                    help="student-t only: past y = sqrt(6)/2 report a grid-search "
                         "value instead of refusing")
-    add_common(p)
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("tail", help="exact standardized tail P(|X-mu| >= y*sigma)")
@@ -194,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=verify.SUITES + ("all",))
-    add_common(p)
+    p.add_argument("--seed", type=int, default=verify.MASTER_SEED,
+                   help="master seed of the Monte Carlo checks (default %(default)s)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

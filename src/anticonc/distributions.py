@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import DomainError, InternalError
 from .specfun import (
-    DEFAULT_SERIES,
-    SeriesConfig,
     clamp_probability,
     gauss_2f1,
     log_gamma,
@@ -301,7 +299,7 @@ def _t_moments(p: _Params) -> Moments:
     return Moments(0.0, n / (n - 2.0))
 
 
-def student_t_cdf(n: int, x: float, config: SeriesConfig = DEFAULT_SERIES) -> float:
+def student_t_cdf(n: int, x: float) -> float:
     """Student's t CDF with n degrees of freedom, in hypergeometric form,
         F_n(x) = 1/2 + x * G(n) * 2F1(1/2, (n+1)/2; 3/2; -x^2/n),
         G(n) = Gamma((n+1)/2) / (sqrt(n*pi) * Gamma(n/2)).
@@ -318,7 +316,7 @@ def student_t_cdf(n: int, x: float, config: SeriesConfig = DEFAULT_SERIES) -> fl
         return 0.5
     coeff = math.exp(log_gamma((n + 1) / 2.0) - log_gamma(n / 2.0)
                      - 0.5 * math.log(n * math.pi))
-    hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x * x / n, config)
+    hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x * x / n)
     return clamp_probability(0.5 + x * coeff * hyp, context="student_t_cdf")
 
 
@@ -343,7 +341,9 @@ def _binomial_log_pmf(p: _Params, k: int) -> float:
 def _neg_binomial_moments(p: _Params) -> Moments:
     r, pr = p["r"], p["p"]
     q = 1.0 - pr
-    return Moments(r * q / pr, r * q / (pr * pr))
+    # p*p underflows to 0 below p ~ 1e-162; divide twice there (inf unless r is tiny)
+    variance = r * q / (pr * pr) if pr * pr > 0.0 else r * q / pr / pr
+    return Moments(r * q / pr, variance)
 
 
 def _neg_binomial_log_pmf(p: _Params, k: int) -> float:
@@ -611,7 +611,7 @@ def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: Optional[int], upper
     """Sum pmf(k) for integer k in [kmin, min(kmax, floor(upper))] with keep(k).
 
     Unbounded sums stop once a geometric bound shows the remaining mass is
-    below the 1e-15 truncation budget.
+    below the 1e-16 truncation budget.
     """
     k_end = math.floor(upper)
     if kmax is not None:
@@ -702,6 +702,7 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     sd = math.sqrt(m.variance)
     lo = m.mean - y * sd
     hi = m.mean + y * sd
+    _require_finite_x(lo)  # y * sigma can still overflow a double
 
     if law.log_pmf is not None:
         kmin, kmax = law.support(p)
@@ -710,7 +711,6 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
                               keep=lambda k: abs(k - m.mean) < y * sd)
         prob = clamp_probability(1.0 - inner, context="discrete tail")
     else:
-        _require_finite_x(lo)  # y * sigma can still overflow a double
         prob = clamp_probability(law.cdf(p, lo) + law.survival(p, hi),
                                  context="continuous tail")
     return TailResult(prob, law.method, law.abs_error_bound)

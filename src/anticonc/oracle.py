@@ -45,6 +45,9 @@ __all__ = [
     "derive_seeds",
 ]
 
+# absolute tolerance of the quadrature oracles; an error estimate past 100x fails
+_QUAD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -92,7 +95,7 @@ def _t_pdf(n: int, gammaln):
     return pdf
 
 
-def quad_student_cdf(n: int, x: float, quad_tol: float = 1e-12) -> float:
+def quad_student_cdf(n: int, x: float) -> float:
     """Student's t CDF by adaptive quadrature of the density (oracle route).
 
     1/2 + integral of the density over [0, x], with the x < 0 case folded
@@ -103,20 +106,20 @@ def quad_student_cdf(n: int, x: float, quad_tol: float = 1e-12) -> float:
     if not math.isfinite(x):
         raise DomainError(f"quad_student_cdf requires finite x, got {x!r}")
     if x < 0.0:
-        return 1.0 - quad_student_cdf(n, -x, quad_tol)
+        return 1.0 - quad_student_cdf(n, -x)
     if x == 0.0:
         return 0.5
     from scipy import integrate, special
 
-    value, err = integrate.quad(_t_pdf(n, special.gammaln), 0.0, x, epsabs=quad_tol,
+    value, err = integrate.quad(_t_pdf(n, special.gammaln), 0.0, x, epsabs=_QUAD_TOL,
                                 epsrel=1e-13, limit=500)
-    if err > max(100.0 * quad_tol, 1e-10):
+    if err > 100.0 * _QUAD_TOL:
         raise ConvergenceError(
             f"t-density quadrature error estimate {err} exceeds budget (n={n}, x={x})")
     return min(1.0, 0.5 + value)
 
 
-def quad_normal_symmetric_tail(y: float, quad_tol: float = 1e-12) -> float:
+def quad_normal_symmetric_tail(y: float) -> float:
     """P(|Z| >= y) for standard normal Z, by quadrature of the density."""
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0):
         raise DomainError(f"quad_normal_symmetric_tail requires y > 0, got {y!r}")
@@ -126,8 +129,8 @@ def quad_normal_symmetric_tail(y: float, quad_tol: float = 1e-12) -> float:
     def pdf(t: float) -> float:
         return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
-    value, err = integrate.quad(pdf, 0.0, y, epsabs=quad_tol, epsrel=1e-13, limit=500)
-    if err > max(100.0 * quad_tol, 1e-10):
+    value, err = integrate.quad(pdf, 0.0, y, epsabs=_QUAD_TOL, epsrel=1e-13, limit=500)
+    if err > 100.0 * _QUAD_TOL:
         raise ConvergenceError(f"normal-density quadrature error estimate {err} too large")
     return max(0.0, 1.0 - 2.0 * value)
 

@@ -12,13 +12,10 @@ against independent oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InternalError
 
 __all__ = [
-    "SeriesConfig",
-    "DEFAULT_SERIES",
     "log_gamma",
     "gauss_2f1",
     "reg_inc_gamma_lower",
@@ -28,26 +25,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation policy for the 2F1 power series.
-
-    The series stops once two consecutive terms fall below rel_tol times
-    the running partial sum; the two-term check guards against a single
-    accidentally tiny term in an alternating tail.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 10**6
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_SERIES = SeriesConfig()
+# The 2F1 series stops once two consecutive terms fall below _SERIES_REL_TOL
+# times the running partial sum; the two-term check guards against a single
+# accidentally tiny term in an alternating tail.
+_SERIES_REL_TOL = 1e-15
+_SERIES_MAX_TERMS = 10**6
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -95,28 +77,27 @@ def log_gamma(x: float) -> float:
     return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _series_2f1(a: float, b: float, c: float, w: float, config: SeriesConfig) -> float:
+def _series_2f1(a: float, b: float, c: float, w: float) -> float:
     """Raw power series sum_j (a)_j (b)_j / (c)_j * w^j / j! for |w| < 1."""
     term = 1.0
     total = 1.0
     small_streak = 0
-    for j in range(config.max_terms):
+    for j in range(_SERIES_MAX_TERMS):
         term *= (a + j) * (b + j) / (c + j) * w / (j + 1.0)
         total += term
-        if abs(term) <= config.rel_tol * abs(total):
+        if abs(term) <= _SERIES_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return total
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"2F1 series did not converge within {config.max_terms} terms "
+        f"2F1 series did not converge within {_SERIES_MAX_TERMS} terms "
         f"(a={a}, b={b}, c={c}, w={w})"
     )
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float,
-              config: SeriesConfig = DEFAULT_SERIES) -> float:
+def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z < 1.
 
     The raw series is only used on z in [0, 1).  Every negative z is
@@ -136,10 +117,10 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
     if z == 0.0:
         return 1.0
     if z > 0.0:
-        return _series_2f1(a, b, c, z, config)
+        return _series_2f1(a, b, c, z)
     lo, hi = (a, b) if a <= b else (b, a)
     w = z / (z - 1.0)
-    return (1.0 - z) ** (-lo) * _series_2f1(lo, c - hi, c, w, config)
+    return (1.0 - z) ** (-lo) * _series_2f1(lo, c - hi, c, w)
 
 
 _IG_MAX_ITER = 10**6

@@ -16,13 +16,17 @@ import numpy as np
 from . import anticoncentration as anti
 from . import distributions as dist
 from . import oracle
-from .config import DEFAULT_CONFIG, NumericConfig
 from .distributions import FamilyId
+from .errors import DomainError
 from .specfun import gauss_2f1, log_gamma, reg_inc_beta, reg_inc_gamma_lower, std_normal_cdf
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITES", "MASTER_SEED", "run_suite", "run_suites"]
 
 SUITES = ("specfun", "closed-forms", "witnesses", "oracles")
+
+# each Monte Carlo check draws _MC_SAMPLES variates from a seed derived from MASTER_SEED
+MASTER_SEED = 123456789
+_MC_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -67,15 +71,14 @@ MOMENTS_PANEL[FamilyId.PARETO] = dist.pareto(6.0, 2.0)
 
 # --- specfun suite ----------------------------------------------------------
 
-def _suite_specfun(config: NumericConfig) -> list[CheckResult]:
+def _suite_specfun(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
-    series = config.series()
 
     worst = 0.0
     for a in (0.6, 1.5, 3.25, 7.0):
         for b in (0.5, 1.0, 2.0, 5.5):
             for z in (-4.0, -1.0, -0.5, 0.0, 0.5):
-                got = gauss_2f1(a, b, a, z, series)
+                got = gauss_2f1(a, b, a, z)
                 worst = max(worst, _rel_err(got, (1.0 - z) ** (-b)))
     out.append(_result("specfun", "2F1(a,b;a;z) = (1-z)^-b", worst <= 1e-12,
                        f"worst rel err {worst:.3e}"))
@@ -84,8 +87,8 @@ def _suite_specfun(config: NumericConfig) -> list[CheckResult]:
     for n in range(3, 51):
         for y in (0.25, 0.5, 1.0, 1.2):
             z = -y * y / n
-            lhs = (n + 1) / 2.0 * gauss_2f1(0.5, (n + 3) / 2.0, 1.5, z, series)
-            rhs = (n / 2.0 * gauss_2f1(0.5, (n + 1) / 2.0, 1.5, z, series)
+            lhs = (n + 1) / 2.0 * gauss_2f1(0.5, (n + 3) / 2.0, 1.5, z)
+            rhs = (n / 2.0 * gauss_2f1(0.5, (n + 1) / 2.0, 1.5, z)
                    + 0.5 * (1.0 - z) ** (-(n + 1) / 2.0))
             worst = max(worst, _rel_err(lhs, rhs))
     out.append(_result("specfun", "contiguous relation instance", worst <= 1e-11,
@@ -94,8 +97,8 @@ def _suite_specfun(config: NumericConfig) -> list[CheckResult]:
     worst = 0.0
     for a, b, c in ((0.5, 2.5, 1.75), (1.2, 3.4, 2.2), (0.3, 0.9, 4.0)):
         for z in np.linspace(-8.0, 0.0, 17):
-            worst = max(worst, _rel_err(gauss_2f1(a, b, c, float(z), series),
-                                        gauss_2f1(b, a, c, float(z), series)))
+            worst = max(worst, _rel_err(gauss_2f1(a, b, c, float(z)),
+                                        gauss_2f1(b, a, c, float(z))))
     out.append(_result("specfun", "2F1 symmetric in (a, b)", worst <= 1e-12,
                        f"worst rel err {worst:.3e}"))
 
@@ -137,10 +140,9 @@ def _random_params(family: FamilyId, rng: np.random.Generator) -> dist.ParamSet:
     raise ValueError(family)
 
 
-def _suite_closed_forms(config: NumericConfig) -> list[CheckResult]:
+def _suite_closed_forms(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
-    series = config.series()
-    rng = np.random.Generator(np.random.PCG64(oracle.derive_seeds(config.seed, 1)[0]))
+    rng = np.random.Generator(np.random.PCG64(oracle.derive_seeds(seed, 1)[0]))
 
     # the infimum is attained at every parameter point for these three
     for family in (FamilyId.UNIFORM, FamilyId.EXPONENTIAL, FamilyId.GAUSSIAN):
@@ -168,8 +170,8 @@ def _suite_closed_forms(config: NumericConfig) -> list[CheckResult]:
 
     worst = 0.0
     for y in (0.25, 0.5, 0.75, 1.0, 1.1, 1.2):
-        full = anti.a_student_t(y, series).value
-        best = max(anti.inner_probability(n, y, series) for n in range(3, 401))
+        full = anti.a_student_t(y).value
+        best = max(anti.inner_probability(n, y) for n in range(3, 401))
         worst = max(worst, abs(full - (1.0 - best)))
     out.append(_result("closed-forms", "student-t curve = 1 - max central mass (n<=400)",
                        worst <= 1e-12, f"worst abs err {worst:.3e}"))
@@ -177,8 +179,8 @@ def _suite_closed_forms(config: NumericConfig) -> list[CheckResult]:
     worst = 0.0
     for y in np.linspace(0.1, 1.0, 10):
         y = float(y)
-        full = anti.a_student_t(y, series).value
-        short = 2.0 - 2.0 * max(anti.student_t_cdf(n, y * math.sqrt(n / (n - 2.0)), series)
+        full = anti.a_student_t(y).value
+        short = 2.0 - 2.0 * max(anti.student_t_cdf(n, y * math.sqrt(n / (n - 2.0)))
                                 for n in (3, 4))
         worst = max(worst, abs(full - short))
     out.append(_result("closed-forms", "fast path {3,4} matches full scan for y <= 1",
@@ -195,7 +197,7 @@ def _suite_closed_forms(config: NumericConfig) -> list[CheckResult]:
     ok_e = max(lam_tails) - min(lam_tails) <= 1e-12
     out.append(_result("closed-forms", "exponential tail is rate-invariant", ok_e))
 
-    seeds = oracle.derive_seeds(config.seed, 4)
+    seeds = oracle.derive_seeds(seed, 4)
     mc_checks = [
         (dist.uniform(-1.0, 1.0), anti.a_uniform(y).value, seeds[0]),
         (dist.exponential(1.0), anti.a_exponential(y).value, seeds[1]),
@@ -204,9 +206,9 @@ def _suite_closed_forms(config: NumericConfig) -> list[CheckResult]:
          anti.a_student_t(y).value, seeds[3]),
     ]
     ok_mc = True
-    for ps, want, seed in mc_checks:
-        est = oracle.mc_tail(ps, y, config.mc_samples, seed)
-        se = math.sqrt(want * (1.0 - want) / config.mc_samples)
+    for ps, want, child_seed in mc_checks:
+        est = oracle.mc_tail(ps, y, _MC_SAMPLES, child_seed)
+        se = math.sqrt(want * (1.0 - want) / _MC_SAMPLES)
         ok_mc &= abs(est.estimate - want) <= 4.0 * se
     out.append(_result("closed-forms", "Monte Carlo agrees at the minimizing laws", ok_mc))
     return out
@@ -214,11 +216,11 @@ def _suite_closed_forms(config: NumericConfig) -> list[CheckResult]:
 
 # --- witnesses suite --------------------------------------------------------
 
-def _suite_witnesses(config: NumericConfig) -> list[CheckResult]:
+def _suite_witnesses(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     families = sorted(anti.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value)
     panel = [(y, eps) for y in (0.5, 1.0, 2.0) for eps in (1e-2, 1e-3, 1e-4)]
-    seeds = oracle.derive_seeds(config.seed, len(families) * len(panel))
+    seeds = oracle.derive_seeds(seed, len(families) * len(panel))
     i = 0
     for family in families:
         ok = True
@@ -230,9 +232,9 @@ def _suite_witnesses(config: NumericConfig) -> list[CheckResult]:
                 ok, worst = False, f"tail {w.achieved_tail} > eps {eps} at y={y}"
                 i += 1
                 continue
-            est = oracle.mc_tail(w.params, y, config.mc_samples, seeds[i])
+            est = oracle.mc_tail(w.params, y, _MC_SAMPLES, seeds[i])
             i += 1
-            se = math.sqrt(max(exact * (1.0 - exact), 0.0) / config.mc_samples)
+            se = math.sqrt(max(exact * (1.0 - exact), 0.0) / _MC_SAMPLES)
             if abs(est.estimate - exact) > 4.0 * se + 1e-15:
                 ok, worst = False, f"MC {est.estimate} vs exact {exact} at y={y}, eps={eps}"
         out.append(_result("witnesses", f"{family.value}: certified below epsilon", ok, worst))
@@ -241,26 +243,25 @@ def _suite_witnesses(config: NumericConfig) -> list[CheckResult]:
 
 # --- oracles suite ----------------------------------------------------------
 
-def _suite_oracles(config: NumericConfig) -> list[CheckResult]:
+def _suite_oracles(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
-    series = config.series()
 
     worst = 0.0
     for n in range(1, 51):
         for x in (-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0):
-            worst = max(worst, abs(anti.student_t_cdf(n, x, series)
-                                   - oracle.quad_student_cdf(n, x, config.quad_tol)))
+            worst = max(worst, abs(anti.student_t_cdf(n, x)
+                                   - oracle.quad_student_cdf(n, x)))
     out.append(_result("oracles", "t CDF: series vs quadrature", worst <= 1e-10,
                        f"worst abs err {worst:.3e}"))
 
     worst = 0.0
     for y in (0.5, 1.0, 2.0, 3.0):
         worst = max(worst, abs(anti.a_gaussian(y).value
-                               - oracle.quad_normal_symmetric_tail(y, config.quad_tol)))
+                               - oracle.quad_normal_symmetric_tail(y)))
     out.append(_result("oracles", "gaussian curve vs normal-density quadrature",
                        worst <= 1e-10, f"worst abs err {worst:.3e}"))
 
-    seeds = oracle.derive_seeds(config.seed ^ 0x5EED, len(MC_PANEL) * 3)
+    seeds = oracle.derive_seeds(seed ^ 0x5EED, len(MC_PANEL) * 3)
     ok_mc = True
     detail = ""
     i = 0
@@ -268,9 +269,9 @@ def _suite_oracles(config: NumericConfig) -> list[CheckResult]:
         ps = MC_PANEL[family]
         for y in (0.5, 1.0, 2.0):
             exact = dist.tail_probability(ps, y).probability
-            est = oracle.mc_tail(ps, y, config.mc_samples, seeds[i])
+            est = oracle.mc_tail(ps, y, _MC_SAMPLES, seeds[i])
             i += 1
-            se = math.sqrt(max(exact * (1.0 - exact), 0.0) / config.mc_samples)
+            se = math.sqrt(max(exact * (1.0 - exact), 0.0) / _MC_SAMPLES)
             if abs(est.estimate - exact) > 4.0 * se + 1e-15:
                 ok_mc = False
                 detail = f"{family.value} y={y}: MC {est.estimate} vs exact {exact}"
@@ -296,14 +297,14 @@ def _suite_oracles(config: NumericConfig) -> list[CheckResult]:
         ok_cdf &= dist.cdf(ps, 1e15) >= 1.0 - 1e-12
     out.append(_result("oracles", "CDF nondecreasing with correct far tails", ok_cdf))
 
-    seeds = oracle.derive_seeds(config.seed ^ 0xA11CE, len(MOMENTS_PANEL))
+    seeds = oracle.derive_seeds(seed ^ 0xA11CE, len(MOMENTS_PANEL))
     ok_mom = True
     detail = ""
     for i, family in enumerate(sorted(MOMENTS_PANEL, key=lambda f: f.value)):
         ps = MOMENTS_PANEL[family]
         m = dist.moments(ps)
         rng = np.random.Generator(np.random.PCG64(seeds[i]))
-        draws = np.asarray(dist.sample(ps, rng, size=config.mc_samples), dtype=float)
+        draws = np.asarray(dist.sample(ps, rng, size=_MC_SAMPLES), dtype=float)
         n = draws.size
         se_mean = math.sqrt(m.variance / n)
         if abs(draws.mean() - m.mean) > 5.0 * se_mean:
@@ -346,14 +347,16 @@ _SUITE_FNS = {
 }
 
 
-def run_suite(name: str, config: NumericConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def run_suite(name: str, seed: int = MASTER_SEED) -> list[CheckResult]:
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
-    return _SUITE_FNS[name](config)
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be a 64-bit integer, got {seed}")
+    return _SUITE_FNS[name](seed)
 
 
-def run_suites(names, config: NumericConfig = DEFAULT_CONFIG) -> list[CheckResult]:
+def run_suites(names, seed: int = MASTER_SEED) -> list[CheckResult]:
     results: list[CheckResult] = []
     for name in names:
-        results.extend(run_suite(name, config))
+        results.extend(run_suite(name, seed))
     return results

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from anticonc import cli
+from anticonc import cli, verify
+from anticonc.errors import DomainError
 
 GOLDEN_UNIFORM_CSV = (
     "y,value,family,detail\n"
@@ -122,6 +123,7 @@ class TestTail:
         ("pareto", '{"r": 2.5, "A": 1e300}'),
         ("uniform", '{"a": -1e308, "b": 1e308}'),
         ("gamma", '{"alpha": 1e200, "beta": 1e200}'),
+        ("neg-binomial", '{"r": 1.0, "p": 1e-200}'),
     ])
     def test_moments_overflowing_a_double_are_usage_errors(self, capsys, family, params):
         # valid laws whose mean - y*sd is not a finite double
@@ -130,8 +132,15 @@ class TestTail:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         overflowed = {"pareto": "variance is inf", "uniform": "variance is inf",
-                      "gamma": "mean is inf"}[family]
+                      "gamma": "mean is inf", "neg-binomial": "variance is inf"}[family]
         assert f"{family} moments overflow a double" in err and overflowed in err
+
+    def test_discrete_law_at_an_overflowing_y_is_usage_error(self, capsys):
+        # y * sigma overflows a double, as for the continuous laws
+        code, out, err = run(capsys, "tail", "--family", "poisson",
+                             "--params", '{"lambda": 4.0}', "--y", "1e308")
+        assert code == 2 and out == ""
+        assert err == "error: cdf requires finite x, got -inf\n"
 
 
 class TestWitness:
@@ -166,26 +175,6 @@ class TestVerifyAndConfig:
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "checks passed" in out
 
-    def test_missing_config_file_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "curve", "--family", "student-t",
-                           "--y-min", "0.5", "--y-max", "1", "--steps", "2",
-                           "--config", "/nonexistent/config.json")
-        assert code == 2
-
-    def test_config_file_and_env_fallback(self, capsys, tmp_path, monkeypatch):
-        curve = ("curve", "--family", "student-t", "--y-min", "0.5", "--y-max", "1",
-                 "--steps", "2")
-        cfg = tmp_path / "numeric.json"
-        cfg.write_text('{"rel_tol": 1e-14, "max_terms": 100000, "seed": 7}')
-        code, _, _ = run(capsys, *curve, "--config", str(cfg))
-        assert code == 0
-        monkeypatch.setenv("ANTICONC_CONFIG", str(cfg))
-        code, out, _ = run(capsys, *curve)
-        assert code == 0
-        monkeypatch.setenv("ANTICONC_CONFIG", "/nonexistent/config.json")
-        code, _, _ = run(capsys, *curve)
-        assert code == 2
-
     def test_tail_and_witness_ignore_the_config(self, capsys, monkeypatch):
         monkeypatch.setenv("ANTICONC_CONFIG", "/nonexistent/config.json")
         code, out, _ = run(capsys, "tail", "--family", "exponential",
@@ -196,19 +185,42 @@ class TestVerifyAndConfig:
                          "--y", "1", "--epsilon", "0.01")
         assert code == 0
 
-    def test_rejects_unknown_config_keys(self, capsys, tmp_path):
-        cfg = tmp_path / "numeric.json"
-        cfg.write_text('{"tolerance": 1e-9}')
-        code, _, err = run(capsys, "verify", "specfun", "--config", str(cfg))
-        assert code == 2 and "unknown config keys" in err
-
-    @pytest.mark.parametrize("config,message", [
-        ('{"rel_tol": 0.0, "max_terms": 0}', "rel_tol must lie in (0, 1), got 0.0"),
-        ('{"max_terms": 0, "quad_tol": 2.0}', "max_terms must be >= 1, got 0"),
-        ('{"quad_tol": 2.0, "mc_samples": 0}', "quad_tol must lie in (0, 1), got 2.0"),
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--family", "uniform", "--y-min", "0.5", "--y-max", "2", "--steps", "4",
+         "--config", "numeric.json"),
+        ("curve", "--family", "uniform", "--y-min", "0.5", "--y-max", "2", "--steps", "4",
+         "--seed", "7"),
+        ("verify", "specfun", "--config", "numeric.json"),
     ])
-    def test_config_field_errors_in_order(self, capsys, tmp_path, config, message):
-        cfg = tmp_path / "numeric.json"
-        cfg.write_text(config)
-        code, _, err = run(capsys, "verify", "specfun", "--config", str(cfg))
-        assert code == 2 and err == f"error: {message}\n"
+    def test_removed_config_and_curve_seed_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_curve_and_verify_read_no_config(self, capsys, monkeypatch):
+        monkeypatch.setenv("ANTICONC_CONFIG", "/nonexistent/config.json")
+        code, out, _ = run(capsys, "curve", "--family", "student-t",
+                           "--y-min", "0.5", "--y-max", "1", "--steps", "2")
+        assert code == 0 and out.startswith("y,value,family,detail\n")
+        code, out, _ = run(capsys, "verify", "specfun")
+        assert code == 0 and "[FAIL]" not in out
+
+    def test_no_numeric_config_remains(self):
+        import importlib.util
+
+        import anticonc
+        assert importlib.util.find_spec("anticonc.config") is None
+        for name in ("NumericConfig", "DEFAULT_CONFIG", "SeriesConfig", "DEFAULT_SERIES"):
+            assert not hasattr(anticonc, name)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_usage_error(self, capsys, seed):
+        code, out, err = run(capsys, "verify", "closed-forms", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"error: seed must be a 64-bit integer, got {seed}\n"
+
+    def test_library_refuses_a_seed_that_is_not_an_integer(self):
+        # int(1.5) would pass the range check and numpy would raise TypeError later
+        with pytest.raises(DomainError, match="seed must be a 64-bit integer, got 1.5"):
+            verify.run_suite("witnesses", 1.5)

@@ -117,6 +117,16 @@ class TestMoments:
         for ps in panel:
             assert ac.moments(ps).variance > 0
 
+    def test_neg_binomial_variance_past_the_underflow_of_p_squared(self):
+        # p*p underflows to 0 below p ~ 1e-162; r(1-p)/p^2 must not divide by it
+        m = ac.moments(ac.neg_binomial(1.0, 1e-200))
+        assert m.mean == 1e200 and m.variance == math.inf
+        m = ac.moments(ac.neg_binomial(1e-300, 1e-170))
+        assert m.variance == pytest.approx(1e40, rel=1e-15)
+        with pytest.raises(DomainError, match="neg-binomial moments overflow a double: "
+                                              "variance is inf"):
+            ac.tail_probability(ac.neg_binomial(1.0, 1e-200), 1.0)
+
 
 class TestCdf:
     def test_student_t_symmetric_center(self):

@@ -14,7 +14,6 @@ from scipy import special as sps
 
 from anticonc.errors import ConvergenceError, DomainError, InternalError
 from anticonc.specfun import (
-    SeriesConfig,
     clamp_probability,
     gauss_2f1,
     log_gamma,
@@ -104,16 +103,10 @@ class TestGauss2F1:
                 gauss_2f1(0.5, 1.0, c, -0.5)
 
     def test_max_terms_exhaustion_raises(self):
-        with pytest.raises(ConvergenceError):
-            gauss_2f1(0.5, 1.5, 1.5, 0.999, SeriesConfig(rel_tol=1e-15, max_terms=10))
-
-    def test_series_config_invariants(self):
-        with pytest.raises(DomainError):
-            SeriesConfig(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesConfig(rel_tol=1.5)
-        with pytest.raises(DomainError):
-            SeriesConfig(max_terms=0)
+        # (1/2)_j / j! decays like j^(-1/2) and w^j stays near 1, so the series
+        # is still far from converged at the 10**6-term cap
+        with pytest.raises(ConvergenceError, match="within 1000000 terms"):
+            gauss_2f1(0.5, 1.5, 1.5, 1.0 - 1e-12)
 
 
 class TestIncompleteGamma:
