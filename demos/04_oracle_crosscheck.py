@@ -35,15 +35,15 @@ for i, (label, ps, want) in enumerate((
           f"(+/- {est.std_err:.6f})")
 
 # %%
-# Quadrature: the hypergeometric-series CDF against direct integration of
-# the density.
+# Quadrature: the t CDF (hypergeometric series for x^2 <= 5, incomplete
+# beta beyond) against direct integration of the density.
 
 worst = 0.0
 for n in (1, 3, 7, 30):
     for x in np.linspace(-4.0, 4.0, 17):
         x = float(x)
         worst = max(worst, abs(student_t_cdf(n, x) - quad_student_cdf(n, x)))
-print(f"\nmax |series CDF - quadrature CDF| over the panel: {worst:.2e}")
+print(f"\nmax |t CDF - quadrature CDF| over the panel: {worst:.2e}")
 
 # %%
 # Grid search: the brute-force infimum can only sit on or above the

@@ -29,6 +29,7 @@ from .specfun import (
     clamp_probability,
     gauss_2f1,
     log_gamma,
+    log_gamma_half_ratio,
     reg_inc_beta,
     reg_inc_gamma_lower,
     std_normal_cdf,
@@ -299,14 +300,28 @@ def _t_moments(p: _Params) -> Moments:
     return Moments(0.0, n / (n - 2.0))
 
 
-def student_t_cdf(n: int, x: float) -> float:
-    """Student's t CDF with n degrees of freedom, in hypergeometric form,
-        F_n(x) = 1/2 + x * G(n) * 2F1(1/2, (n+1)/2; 3/2; -x^2/n),
-        G(n) = Gamma((n+1)/2) / (sqrt(n*pi) * Gamma(n/2)).
+# x^2 past which student_t_cdf takes the tail from the incomplete beta.  Every
+# point of the proven A(y) curve has x^2 = y^2 n/(n-2) < 9/2, so the curve
+# stays on the series.  Past the switch the series costs more and loses more
+# digits as |x| grows; the beta route does neither.
+_T_TAIL_X2 = 5.0
 
-    Valid for every real x: the 2F1 evaluation routes -x^2/n of any size
-    through the Pfaff transformation.  The result is clamped to [0, 1]
-    (the formula's rounding can stray an ulp outside near the far tails).
+
+def student_t_cdf(n: int, x: float) -> float:
+    """Student's t CDF with n degrees of freedom, by one of two routes.
+
+    For x^2 <= 5, the hypergeometric form
+        F_n(x) = 1/2 + x * G(n) * 2F1(1/2, (n+1)/2; 3/2; -x^2/n),
+        G(n) = Gamma((n+1)/2) / (sqrt(n*pi) * Gamma(n/2)),
+    with -x^2/n routed through the Pfaff transformation.  For x^2 > 5,
+    the tail F_n(-|x|) = 1/2 * I_z(n/2, 1/2) with z = n/(n + x^2), taken
+    straight from the incomplete beta (the layout of Cephes stdtr): its
+    cost does not grow with |x| and it loses no digits in the far tail.
+    Both routes take log Gamma((n+1)/2) - log Gamma(n/2) from
+    log_gamma_half_ratio, and the beta route passes reg_inc_beta its own
+    log front factor, with (n/2) log z = -(n/2) log1p(x^2/n) and
+    1 - z = x^2/(n + x^2) taken from x rather than from z.  The series
+    result is clamped to [0, 1] (its rounding can stray an ulp outside).
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"student_t_cdf requires an integer n >= 1, got {n!r}")
@@ -314,9 +329,15 @@ def student_t_cdf(n: int, x: float) -> float:
         raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
     if x == 0.0:
         return 0.5
-    coeff = math.exp(log_gamma((n + 1) / 2.0) - log_gamma(n / 2.0)
-                     - 0.5 * math.log(n * math.pi))
-    hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x * x / n)
+    x2 = x * x
+    half_n = n / 2.0
+    if x2 > _T_TAIL_X2:
+        log_front = (log_gamma_half_ratio(half_n) - 0.5 * math.log(math.pi)  # -log B(n/2, 1/2)
+                     - half_n * math.log1p(x2 / n) + 0.5 * math.log(x2 / (n + x2)))
+        tail = 0.5 * reg_inc_beta(n / (n + x2), half_n, 0.5, log_front=log_front)
+        return tail if x < 0.0 else 1.0 - tail
+    coeff = math.exp(log_gamma_half_ratio(half_n) - 0.5 * math.log(n * math.pi))
+    hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x2 / n)
     return clamp_probability(0.5 + x * coeff * hyp, context="student_t_cdf")
 
 
@@ -700,9 +721,13 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
             f"{name} is {value!r}" for name, value in vars(m).items()
             if not math.isfinite(value)))
     sd = math.sqrt(m.variance)
+    if math.isinf(y * sd):
+        # a finite variance keeps sigma <= 1.35e154, so y > 1.3e154 and by
+        # Chebyshev the tail is below 1/y^2 < 6e-309: zero as a double
+        return TailResult(0.0, law.method, law.abs_error_bound)
     lo = m.mean - y * sd
     hi = m.mean + y * sd
-    _require_finite_x(lo)  # y * sigma can still overflow a double
+    _require_finite_x(lo)  # mu - y*sigma can still overflow a double
 
     if law.log_pmf is not None:
         kmin, kmax = law.support(p)

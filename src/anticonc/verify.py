@@ -251,7 +251,7 @@ def _suite_oracles(seed: int) -> list[CheckResult]:
         for x in (-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0):
             worst = max(worst, abs(anti.student_t_cdf(n, x)
                                    - oracle.quad_student_cdf(n, x)))
-    out.append(_result("oracles", "t CDF: series vs quadrature", worst <= 1e-10,
+    out.append(_result("oracles", "t CDF vs quadrature", worst <= 1e-10,
                        f"worst abs err {worst:.3e}"))
 
     worst = 0.0

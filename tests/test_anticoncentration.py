@@ -11,11 +11,12 @@ import random
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import anticonc as ac
-from anticonc import FamilyId
+from anticonc import FamilyId, distributions
 from anticonc.errors import DomainError, SearchError
 
 SQRT3 = math.sqrt(3.0)
@@ -217,6 +218,81 @@ class TestStudentTCdf:
             ac.student_t_cdf(0, 1.0)
         with pytest.raises(DomainError):
             ac.student_t_cdf(3, math.inf)
+
+
+def mp_t_lower_tail(n, x):
+    """P(T_n <= -|x|) = I_z(n/2, 1/2) / 2 with z = n/(n + x^2), by mpmath.
+
+    The complement 1 - I_{1-z}(1/2, n/2) at 100 digits keeps 60 of them
+    above 1e-40; below, I_z(n/2, 1/2) itself at 60 digits.  (Summed
+    directly, I_z stalls at large n where z is near 1; the 1/2 + x G 2F1
+    form loses the value below 1e-200 even at 200 digits.)
+    """
+    with mpmath.workdps(100):
+        n, x2 = mpmath.mpf(n), mpmath.mpf(x) ** 2
+        tail = (1 - mpmath.betainc(0.5, n / 2, 0, x2 / (n + x2), regularized=True)) / 2
+        if tail > 1e-40:
+            return tail
+    with mpmath.workdps(60):
+        return mpmath.betainc(n / 2, 0.5, 0, n / (n + x2), regularized=True) / 2
+
+
+# (n, x) with x^2 > 5: the far tails, and large n near the switch
+T_TAIL_CASES = [(3, -1e4), (5, -100.0), (100, -10.0), (1000, -10.0), (1000, 10.0),
+                (1, -300.0), (2, -1e6), (30, -1e5), (3, 7.5), (10**4, -2.3),
+                (10**4, 3.0), (3 * 10**4, -2.4), (10**5, -2.3), (10**5, 6.0)]
+
+
+class TestStudentTTails:
+    """The incomplete-beta route, taken for x^2 > 5."""
+
+    @pytest.mark.parametrize("n,x", T_TAIL_CASES)
+    def test_matches_mpmath(self, n, x):
+        got = ac.student_t_cdf(n, x)
+        tail = mp_t_lower_tail(n, x)
+        if x > 0.0:  # 1 - tail, rounded once
+            assert abs(got - float(1 - tail)) <= 1e-12 * tail + 2.3e-16
+        elif n <= 10**4 and tail >= 1e-300:
+            assert abs(got - tail) <= 1e-12 * tail
+        else:
+            assert abs(got - tail) <= 1e-12
+
+    @pytest.mark.parametrize("n,x", T_TAIL_CASES)
+    def test_constant_time(self, n, x):
+        # the series took 10.6 ms at (3, -100) and 0.4 s at (1, -300)
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            ac.student_t_cdf(n, x)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 1e-3
+
+    def test_beyond_the_double_range_of_x_squared(self):
+        assert ac.student_t_cdf(3, -1e200) == 0.0
+        assert ac.student_t_cdf(3, 1e200) == 1.0
+
+    @pytest.mark.parametrize("n,x", [(10**5, 2.3), (10**5, -2.3), (10**6, 1.2),
+                                     (10**6, -1.2), (10**6, 2.236)])
+    def test_large_n_centre(self, n, x):
+        # the series with the Stirling prefactor; a difference of two Lanczos
+        # values was off by 3.9e-11 at n = 1e5 and 1.5e-10 at n = 1e6
+        tail = mp_t_lower_tail(n, x)
+        want = tail if x < 0.0 else 1 - tail
+        assert abs(ac.student_t_cdf(n, x) - float(want)) <= 1e-12
+
+    def test_curve_never_reaches_the_beta_route(self, monkeypatch):
+        # every point of the proven curve has x^2 = y^2 n/(n-2) < 9/2, even
+        # at the last double below sqrt(6)/2, where n0 would be ~3e15: the
+        # scan is cut at n0 = 60 to run the same CDF calls over n = 3..61
+        y = math.nextafter(ac.STUDENT_T_Y_MAX, 0.0)
+
+        def no_beta(*args, **kwargs):
+            raise AssertionError("reg_inc_beta called on the curve")
+
+        monkeypatch.setattr(distributions, "reg_inc_beta", no_beta)
+        monkeypatch.setattr(ac.anticoncentration, "cutoff_dof", lambda y: 60)
+        av = ac.a_student_t(y)
+        assert av.detail.argmax_n == 3 and 3.0 * y * y < 4.5
 
 
 # frozen brute-force values: 2 - 2*max over 3 <= n <= 400 of

@@ -135,12 +135,22 @@ class TestTail:
                       "gamma": "mean is inf", "neg-binomial": "variance is inf"}[family]
         assert f"{family} moments overflow a double" in err and overflowed in err
 
-    def test_discrete_law_at_an_overflowing_y_is_usage_error(self, capsys):
-        # y * sigma overflows a double, as for the continuous laws
-        code, out, err = run(capsys, "tail", "--family", "poisson",
-                             "--params", '{"lambda": 4.0}', "--y", "1e308")
-        assert code == 2 and out == ""
-        assert err == "error: cdf requires finite x, got -inf\n"
+    def test_tail_at_an_overflowing_y_is_zero(self, capsys):
+        # y * sigma overflows a double: by Chebyshev the tail is below 1/y^2
+        for family, params in (("poisson", '{"lambda": 4.0}'),
+                               ("gaussian", '{"mu": 0.0, "sigma": 10.0}')):
+            code, out, err = run(capsys, "tail", "--family", family,
+                                 "--params", params, "--y", "1e308")
+            assert code == 0 and err == ""
+            assert json.loads(out)["probability"] == 0.0
+
+    def test_student_t_far_tail_at_many_degrees_of_freedom(self, capsys):
+        # the series route raised InternalError here (F = -3.49)
+        code, out, _ = run(capsys, "tail", "--family", "student-t",
+                           "--params", '{"n": 1000}', "--y", "10")
+        assert code == 0
+        assert json.loads(out)["probability"] == pytest.approx(1.5205831474484516e-22,
+                                                               rel=1e-12)
 
 
 class TestWitness:

@@ -235,6 +235,14 @@ class TestTailProbability:
         assert ac.tail_probability(ac.weibull(0.005, 1.0), 1.0).probability <= 1e-10
         assert ac.tail_probability(ac.log_normal(0.0, 25.0), 1.0).probability <= 1e-10
 
+    @pytest.mark.parametrize("ps", [ac.gaussian(0.0, 10.0), ac.poisson(4.0),
+                                    ac.student_t(3), ac.uniform(-1e150, 1e150)])
+    def test_overflowing_y_sigma_gives_zero_with_the_family_bound(self, ps):
+        # sigma <= 1.35e154 for a finite variance, so the tail is below 1/y^2 < 6e-309
+        got = ac.tail_probability(ps, 1e308)
+        law = ac.distributions._FAMILIES[ps.family]
+        assert got == ac.TailResult(0.0, law.method, law.abs_error_bound)
+
     def test_rejects_bad_y(self):
         with pytest.raises(DomainError):
             ac.tail_probability(ac.gaussian(0, 1), 0.0)

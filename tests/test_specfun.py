@@ -8,10 +8,12 @@ form is not available by hand.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sps
 
+from anticonc import specfun
 from anticonc.errors import ConvergenceError, DomainError, InternalError
 from anticonc.specfun import (
     clamp_probability,
@@ -47,6 +49,22 @@ class TestLogGamma:
     def test_domain_errors(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
+
+
+class TestLogGammaHalfRatio:
+    @pytest.mark.parametrize("a", [0.5, 1.5, 10.0, 24.5, 25.0, 40.0, 500.0, 5e4, 5e6, 1e15])
+    def test_matches_mpmath(self, a):
+        # log Gamma(a + 1/2) - log Gamma(a) at 60 digits; the difference of
+        # two Lanczos values is off by 5e-13 at a = 500 and 2e-9 at 5e6,
+        # the Stirling series used from a = 25 by under 1e-15
+        with mpmath.workdps(60):
+            want = mpmath.loggamma(mpmath.mpf(a) + 0.5) - mpmath.loggamma(a)
+        tol = 1e-15 if a >= 25.0 else 2e-14
+        assert abs(specfun.log_gamma_half_ratio(a) - float(want)) <= tol
+
+    def test_under_the_switch_it_is_the_lanczos_difference(self):
+        for a in (0.5, 1.5, 2.5, 24.5):
+            assert specfun.log_gamma_half_ratio(a) == log_gamma(a + 0.5) - log_gamma(a)
 
 
 class TestGauss2F1:
@@ -170,6 +188,14 @@ class TestIncompleteBeta:
         for a, b in ((0.4, 2.0), (3.0, 0.7)):
             vals = [reg_inc_beta(float(x), a, b) for x in np.linspace(0, 1, 81)]
             assert all(u <= v + 1e-15 for u, v in zip(vals, vals[1:]))
+
+    def test_given_log_front_replaces_the_log_gamma_one(self, monkeypatch):
+        x, a, b = 0.3, 2.0, 3.0
+        log_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
+                     + a * math.log(x) + b * math.log1p(-x))
+        want = reg_inc_beta(x, a, b)
+        monkeypatch.setattr(specfun, "log_gamma", None)  # a given front needs no log_gamma
+        assert reg_inc_beta(x, a, b, log_front=log_front) == want
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
