@@ -11,8 +11,8 @@ The Student's t curve takes its CDF (hypergeometric form) from
 `distributions`, and a finite cutoff on the degrees-of-freedom scan:
 past cutoff_dof(y) the central mass P(|X_n| < y*sqrt(n/(n-2))) is
 provably decreasing, so the infimum over all n >= 3 reduces to a
-maximum over a short range.  The cutoff is the larger root of a
-quadratic in n.
+maximum over a short range.  The cutoff is the first integer past the
+larger root of a quadratic in n, found with exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -172,31 +172,22 @@ def cutoff_dof(y: float) -> int:
     For n >= 3 the test is (3 - 2y^2) n^2 + (6y^2 - 14) n + (16 - 3y^2) > 0.
     The parabola opens upward (y^2 < 3/2) and its discriminant
     12y^4 - 4y^2 + 4 is positive, so the test holds past its larger root.
-    The root is taken in floating point, and the boundary integer is then
-    settled with the float test itself, galloping out from the root and
-    bisecting.  Near y = sqrt(6)/2 the float ratio stalls on plateaus of
-    up to ~1e14 equal values, so stepping one n at a time would not end.
+    A double y has y^2 = m/d exactly, with integers m and d; d times the
+    quadratic has integer coefficients, so root and test are exact.
     """
     y = _check_y(y)
     if y >= STUDENT_T_Y_MAX:
         raise DomainError(
             f"cutoff_dof requires y < sqrt(6)/2 = {STUDENT_T_Y_MAX!r}, got {y}")
-    y2 = y * y
-    a, b, c = 3.0 - 2.0 * y2, 6.0 * y2 - 14.0, 16.0 - 3.0 * y2
-    n = max(3, math.floor((-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)) + 1)
-    # bracket the boundary: y2 < cutoff_ratio(hi) holds, at lo it fails (or lo = 2)
-    lo, hi, step = n - 1, n, 1
-    while not (y2 < cutoff_ratio(hi)):
-        lo, hi, step = hi, hi + step, 2 * step
-    while lo > 2 and y2 < cutoff_ratio(lo):
-        lo, hi, step = max(2, lo - step), lo, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if y2 < cutoff_ratio(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    p, q = y.as_integer_ratio()
+    m, d = p * p, q * q
+    a, b, c = 3 * d - 2 * m, 6 * m - 14 * d, 16 * d - 3 * m
+    # isqrt is below the root of the discriminant by less than 1 and a >= 1, so
+    # n starts below the larger root by less than 3/2: at most two steps remain
+    n = max(3, (-b + math.isqrt(b * b - 4 * a * c)) // (2 * a))
+    while a * n * n + b * n + c <= 0:
+        n += 1
+    return n
 
 
 def inner_probability(n: int, y: float) -> float:

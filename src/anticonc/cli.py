@@ -99,12 +99,10 @@ def cmd_tail(args) -> int:
     if not isinstance(params, dict):
         return _fail("--params must be a JSON object of parameter fields")
     ps = ParamSet(family, params)
-    problems = dist.validate(ps)
-    if problems:
-        return _fail(f"invalid {family.value} parameters: " + "; ".join(problems))
-    if not (args.y > 0 and math.isfinite(args.y)):
-        return _fail(f"--y must be a positive real, got {args.y}")
     try:
+        dist.require_valid(ps)
+        if not (args.y > 0 and math.isfinite(args.y)):
+            return _fail(f"--y must be a positive real, got {args.y}")
         result = dist.tail_probability(ps, args.y)
     except DomainError as exc:  # e.g. a variance that overflows a double
         return _fail(str(exc))

@@ -267,6 +267,19 @@ def _exp_moments(log_moments):
     return moments_
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where it overflows a double (** raises there)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _over_square(num: float, x: float) -> float:
+    """num / x^2; where x*x underflows to 0 (x below ~1e-162), num / x / x."""
+    return num / (x * x) if x * x > 0.0 else num / x / x
+
+
 def _log_binom_coeff(n: int, k: int) -> float:
     # exact big-int comb keeps lattice pmfs at 1-ulp accuracy; log_gamma
     # handles sizes where the integer route would be wasteful
@@ -362,9 +375,7 @@ def _binomial_log_pmf(p: _Params, k: int) -> float:
 def _neg_binomial_moments(p: _Params) -> Moments:
     r, pr = p["r"], p["p"]
     q = 1.0 - pr
-    # p*p underflows to 0 below p ~ 1e-162; divide twice there (inf unless r is tiny)
-    variance = r * q / (pr * pr) if pr * pr > 0.0 else r * q / pr / pr
-    return Moments(r * q / pr, variance)
+    return Moments(r * q / pr, _over_square(r * q, pr))
 
 
 def _neg_binomial_log_pmf(p: _Params, k: int) -> float:
@@ -416,7 +427,7 @@ def _hypergeometric_log_pmf(p: _Params, k: int) -> float:
 
 def _pareto_moments(p: _Params) -> Moments:
     r, A = p["r"], p["A"]
-    return Moments(r * A / (r - 1.0), r * A * A / ((r - 2.0) * (r - 1.0) ** 2))
+    return Moments(r * A / (r - 1.0), r * A * A / ((r - 2.0) * _square(r - 1.0)))
 
 
 def _weibull_log_moments(p: _Params) -> tuple[float, float]:
@@ -477,20 +488,20 @@ _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.UNIFORM: Family(
         fields=("a", "b"),
         check=_require((lambda p: p["a"] < p["b"], "a must be < b")),
-        moments=lambda p: Moments((p["a"] + p["b"]) / 2.0, (p["b"] - p["a"]) ** 2 / 12.0),
+        moments=lambda p: Moments((p["a"] + p["b"]) / 2.0, _square(p["b"] - p["a"]) / 12.0),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: p["a"] + (p["b"] - p["a"]) * rng.random(size),
         cdf=_uniform_cdf, survival=_uniform_survival),
     FamilyId.EXPONENTIAL: Family(
         fields=("lambda",), check=_positive("lambda"),
-        moments=lambda p: Moments(1.0 / p["lambda"], 1.0 / (p["lambda"] * p["lambda"])),
+        moments=lambda p: Moments(1.0 / p["lambda"], _over_square(1.0, p["lambda"])),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: -np.log1p(-rng.random(size)) / p["lambda"],
         cdf=lambda p, x: -math.expm1(-p["lambda"] * x) if x > 0.0 else 0.0,
         survival=lambda p, x: math.exp(-p["lambda"] * x) if x > 0.0 else 1.0),
     FamilyId.GAUSSIAN: Family(
         fields=("mu", "sigma"), check=_positive("sigma"),
-        moments=lambda p: Moments(p["mu"], p["sigma"] ** 2),
+        moments=lambda p: Moments(p["mu"], _square(p["sigma"])),
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: p["mu"] + p["sigma"] * rng.standard_normal(size),
         cdf=lambda p, x: std_normal_cdf((x - p["mu"]) / p["sigma"]),
@@ -619,7 +630,7 @@ def _valid_law(ps: ParamSet) -> Family:
 
 
 def moments(ps: ParamSet) -> Moments:
-    """Exact mean and variance; always positive variance for valid parameters."""
+    """Exact mean and variance; past a double they overflow to inf or underflow to 0.0."""
     return _valid_law(ps).moments(ps.params)
 
 
@@ -638,9 +649,7 @@ def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: Optional[int], upper
     if kmax is not None:
         k_end = min(k_end, kmax)
     total = 0.0
-    k = kmin
-    steps = 0
-    while k <= k_end:
+    for k in range(kmin, k_end + 1):
         lp = law.log_pmf(p, k)
         val = math.exp(lp) if lp > -745.0 else 0.0
         if keep is None or keep(k):
@@ -649,9 +658,7 @@ def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: Optional[int], upper
             rho = law.ratio_bound(p, k)
             if rho < 1.0 and val * rho / (1.0 - rho) < _MASS_TRUNCATION:
                 break
-        k += 1
-        steps += 1
-        if steps > _DISCRETE_LOOP_CAP:
+        if k - kmin >= _DISCRETE_LOOP_CAP:
             raise InternalError(f"discrete summation exceeded {_DISCRETE_LOOP_CAP} terms")
     return total
 
@@ -698,6 +705,18 @@ def _tail_from_log_scale(law: Family, p: _Params, y: float) -> float:
     return clamp_probability(lower + upper, context="log-scale tail")
 
 
+def _tail_sd(family: FamilyId, m: Moments) -> float:
+    """sigma from m, refused unless the edges mu -/+ y*sigma are finite and apart."""
+    if not (math.isfinite(m.mean) and math.isfinite(m.variance)):
+        raise DomainError(f"{family.value} moments overflow a double: " + ", ".join(
+            f"{name} is {value!r}" for name, value in vars(m).items()
+            if not math.isfinite(value)))
+    if m.variance == 0.0:
+        raise DomainError(f"{family.value} variance underflows a double to 0.0 "
+                          f"(mean is {m.mean!r}), so no tail can be standardized by it")
+    return math.sqrt(m.variance)
+
+
 def tail_probability(ps: ParamSet, y: float) -> TailResult:
     """Exact P(|X - mu| >= y * sigma) with mu, sigma^2 from moments().
 
@@ -715,12 +734,7 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
         return TailResult(prob, law.method, law.abs_error_bound)
 
     m = law.moments(p)
-    if not (math.isfinite(m.mean) and math.isfinite(m.variance)):
-        # no finite edge mu -/+ y*sigma to evaluate the law at
-        raise DomainError(f"{ps.family.value} moments overflow a double: " + ", ".join(
-            f"{name} is {value!r}" for name, value in vars(m).items()
-            if not math.isfinite(value)))
-    sd = math.sqrt(m.variance)
+    sd = _tail_sd(ps.family, m)
     if math.isinf(y * sd):
         # a finite variance keeps sigma <= 1.35e154, so y > 1.3e154 and by
         # Chebyshev the tail is below 1/y^2 < 6e-309: zero as a double

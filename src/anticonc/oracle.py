@@ -24,6 +24,7 @@ from .distributions import (
     FamilyId,
     ParamSet,
     _as_family,
+    _tail_sd,
     moments,
     require_valid,
     sample,
@@ -75,7 +76,7 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0):
         raise DomainError(f"mc_tail requires y > 0, got {y!r}")
     m = moments(ps)
-    sd = math.sqrt(m.variance)
+    sd = _tail_sd(ps.family, m)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = sample(ps, rng, size=n_samples)
     hits = np.count_nonzero(np.abs(draws - m.mean) >= y * sd)

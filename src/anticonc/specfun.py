@@ -33,6 +33,7 @@ __all__ = [
 # accidentally tiny term in an alternating tail.
 _SERIES_REL_TOL = 1e-15
 _SERIES_MAX_TERMS = 10**6
+_CLAMP_TOL = 1e-9
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -51,9 +52,9 @@ _LANCZOS = (
 )
 
 
-def clamp_probability(p: float, *, tol: float = 1e-9, context: str = "") -> float:
-    """Clamp p to [0, 1]; an excursion beyond tol is an internal error."""
-    if p < -tol or p > 1.0 + tol:
+def clamp_probability(p: float, *, context: str = "") -> float:
+    """Clamp p to [0, 1]; an excursion beyond _CLAMP_TOL is an internal error."""
+    if p < -_CLAMP_TOL or p > 1.0 + _CLAMP_TOL:
         where = f" in {context}" if context else ""
         raise InternalError(f"probability {p!r} out of [0,1] beyond guard{where}")
     return min(1.0, max(0.0, p))

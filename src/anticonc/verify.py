@@ -45,6 +45,14 @@ def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
 
 
+def _mc_miss(ps: dist.ParamSet, y: float, want: float, seed: int) -> str:
+    """The miss "MC <estimate> vs exact <want>" where a Monte Carlo tail from
+    seed lies more than 4 standard errors from want; "" where it agrees."""
+    est = oracle.mc_tail(ps, y, _MC_SAMPLES, seed).estimate
+    se = math.sqrt(max(want * (1.0 - want), 0.0) / _MC_SAMPLES)
+    return f"MC {est} vs exact {want}" if abs(est - want) > 4.0 * se + 1e-15 else ""
+
+
 # --- parameter panels -------------------------------------------------------
 
 # one representative, well-conditioned parameter set per family
@@ -197,19 +205,13 @@ def _suite_closed_forms(seed: int) -> list[CheckResult]:
     ok_e = max(lam_tails) - min(lam_tails) <= 1e-12
     out.append(_result("closed-forms", "exponential tail is rate-invariant", ok_e))
 
-    seeds = oracle.derive_seeds(seed, 4)
-    mc_checks = [
-        (dist.uniform(-1.0, 1.0), anti.a_uniform(y).value, seeds[0]),
-        (dist.exponential(1.0), anti.a_exponential(y).value, seeds[1]),
-        (dist.gaussian(0.0, 1.0), anti.a_gaussian(y).value, seeds[2]),
-        (dist.student_t(anti.a_student_t(y).detail.argmax_n),
-         anti.a_student_t(y).value, seeds[3]),
-    ]
-    ok_mc = True
-    for ps, want, child_seed in mc_checks:
-        est = oracle.mc_tail(ps, y, _MC_SAMPLES, child_seed)
-        se = math.sqrt(want * (1.0 - want) / _MC_SAMPLES)
-        ok_mc &= abs(est.estimate - want) <= 4.0 * se
+    t_curve = anti.a_student_t(y)
+    mc_checks = [(dist.uniform(-1.0, 1.0), anti.a_uniform(y).value),
+                 (dist.exponential(1.0), anti.a_exponential(y).value),
+                 (dist.gaussian(0.0, 1.0), anti.a_gaussian(y).value),
+                 (dist.student_t(t_curve.detail.argmax_n), t_curve.value)]
+    ok_mc = not any(_mc_miss(ps, y, want, child_seed) for (ps, want), child_seed
+                    in zip(mc_checks, oracle.derive_seeds(seed, 4)))
     out.append(_result("closed-forms", "Monte Carlo agrees at the minimizing laws", ok_mc))
     return out
 
@@ -220,23 +222,19 @@ def _suite_witnesses(seed: int) -> list[CheckResult]:
     out: list[CheckResult] = []
     families = sorted(anti.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value)
     panel = [(y, eps) for y in (0.5, 1.0, 2.0) for eps in (1e-2, 1e-3, 1e-4)]
-    seeds = oracle.derive_seeds(seed, len(families) * len(panel))
-    i = 0
+    seeds = iter(oracle.derive_seeds(seed, len(families) * len(panel)))
     for family in families:
         ok = True
         worst = ""
-        for y, eps in panel:
+        for (y, eps), child_seed in zip(panel, seeds):
             w = anti.witness_parameter(family, y, eps)
             exact = dist.tail_probability(w.params, y).probability
             if not (w.achieved_tail <= eps and abs(exact - w.achieved_tail) <= 1e-15):
                 ok, worst = False, f"tail {w.achieved_tail} > eps {eps} at y={y}"
-                i += 1
                 continue
-            est = oracle.mc_tail(w.params, y, _MC_SAMPLES, seeds[i])
-            i += 1
-            se = math.sqrt(max(exact * (1.0 - exact), 0.0) / _MC_SAMPLES)
-            if abs(est.estimate - exact) > 4.0 * se + 1e-15:
-                ok, worst = False, f"MC {est.estimate} vs exact {exact} at y={y}, eps={eps}"
+            miss = _mc_miss(w.params, y, exact, child_seed)
+            if miss:
+                ok, worst = False, f"{miss} at y={y}, eps={eps}"
         out.append(_result("witnesses", f"{family.value}: certified below epsilon", ok, worst))
     return out
 
@@ -261,20 +259,16 @@ def _suite_oracles(seed: int) -> list[CheckResult]:
     out.append(_result("oracles", "gaussian curve vs normal-density quadrature",
                        worst <= 1e-10, f"worst abs err {worst:.3e}"))
 
-    seeds = oracle.derive_seeds(seed ^ 0x5EED, len(MC_PANEL) * 3)
+    seeds = iter(oracle.derive_seeds(seed ^ 0x5EED, len(MC_PANEL) * 3))
     ok_mc = True
     detail = ""
-    i = 0
     for family in sorted(MC_PANEL, key=lambda f: f.value):
         ps = MC_PANEL[family]
-        for y in (0.5, 1.0, 2.0):
+        for y, child_seed in zip((0.5, 1.0, 2.0), seeds):
             exact = dist.tail_probability(ps, y).probability
-            est = oracle.mc_tail(ps, y, _MC_SAMPLES, seeds[i])
-            i += 1
-            se = math.sqrt(max(exact * (1.0 - exact), 0.0) / _MC_SAMPLES)
-            if abs(est.estimate - exact) > 4.0 * se + 1e-15:
-                ok_mc = False
-                detail = f"{family.value} y={y}: MC {est.estimate} vs exact {exact}"
+            miss = _mc_miss(ps, y, exact, child_seed)
+            if miss:
+                ok_mc, detail = False, f"{family.value} y={y}: {miss}"
     out.append(_result("oracles", "Monte Carlo within 4 standard errors (13 families)",
                        ok_mc, detail))
 

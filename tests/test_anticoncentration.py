@@ -98,7 +98,8 @@ class TestCutoff:
         assert ac.cutoff_ratio(5) == pytest.approx(21.0 / 23.0, abs=1e-16)
         assert ac.cutoff_ratio(6) == pytest.approx(40.0 / 39.0, abs=1e-15)
 
-    @pytest.mark.parametrize("y,want", [(0.5, 3), (0.9, 5), (1.0, 6)])
+    @pytest.mark.parametrize("y,want", [(0.5, 3), (0.9, 5), (1.0, 6),
+                                        (5e-324, 3), (1e-200, 3)])
     def test_cutoff_dof_values(self, y, want):
         assert ac.cutoff_dof(y) == want
 
@@ -113,9 +114,10 @@ class TestCutoff:
         with pytest.raises(DomainError):
             ac.cutoff_dof(0.0)
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 16))
     def test_matches_exact_rationals_near_the_edge(self, k):
-        # 1.5 - y^2 = 10^-k puts the cutoff near 2.5 * 10^k (2,500,001 at k = 6)
+        # 1.5 - y^2 = 10^-k puts the cutoff near 2.5 * 10^k (2,500,001 at k = 6);
+        # from k = 8 on the float test y*y < cutoff_ratio(n) gives another n
         y = math.sqrt(1.5 - 10.0**-k)
         start = time.perf_counter()
         got = ac.cutoff_dof(y)
@@ -135,14 +137,14 @@ class TestCutoff:
         assert [ac.cutoff_dof(y) for y in ys] == [_scanned_cutoff(y) for y in ys]
 
     def test_ends_quickly_at_the_edge_of_the_range(self):
-        # near sqrt(6)/2 the float ratio repeats one value for ~1e14 n in a row
+        # the 50 doubles below sqrt(6)/2, where the cutoff passes 10^15
         y = ac.STUDENT_T_Y_MAX
         for _ in range(50):
             y = math.nextafter(y, 0.0)
             start = time.perf_counter()
             n = ac.cutoff_dof(y)
             assert time.perf_counter() - start < 0.01
-            assert y * y < ac.cutoff_ratio(n) and not y * y < ac.cutoff_ratio(n - 1)
+            assert n == _exact_cutoff(y)
 
 
 def _scanned_cutoff(y):

@@ -124,6 +124,9 @@ class TestTail:
         ("uniform", '{"a": -1e308, "b": 1e308}'),
         ("gamma", '{"alpha": 1e200, "beta": 1e200}'),
         ("neg-binomial", '{"r": 1.0, "p": 1e-200}'),
+        ("gaussian", '{"mu": 0, "sigma": 1e200}'),
+        ("uniform", '{"a": 0, "b": 1e200}'),
+        ("exponential", '{"lambda": 1e-200}'),
     ])
     def test_moments_overflowing_a_double_are_usage_errors(self, capsys, family, params):
         # valid laws whose mean - y*sd is not a finite double
@@ -132,8 +135,19 @@ class TestTail:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         overflowed = {"pareto": "variance is inf", "uniform": "variance is inf",
-                      "gamma": "mean is inf", "neg-binomial": "variance is inf"}[family]
+                      "gamma": "mean is inf", "neg-binomial": "variance is inf",
+                      "gaussian": "variance is inf", "exponential": "variance is inf"}[family]
         assert f"{family} moments overflow a double" in err and overflowed in err
+
+    @pytest.mark.parametrize("family,params", [
+        ("exponential", '{"lambda": 1e200}'),
+        ("pareto", '{"r": 1e200, "A": 1}'),
+    ])
+    def test_variance_underflowing_to_zero_is_a_usage_error(self, capsys, family, params):
+        code, out, err = run(capsys, "tail", "--family", family,
+                             "--params", params, "--y", "1.0")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {family} variance underflows a double to 0.0")
 
     def test_tail_at_an_overflowing_y_is_zero(self, capsys):
         # y * sigma overflows a double: by Chebyshev the tail is below 1/y^2

@@ -243,6 +243,19 @@ class TestTailProbability:
         at_one = ac.tail_probability(ps, 1.0)
         assert got == ac.TailResult(0.0, at_one.method, at_one.abs_error_bound)
 
+    @pytest.mark.parametrize("ps", [ac.exponential(1e200), ac.gaussian(0.0, 1e-200),
+                                    ac.gamma_family(1.0, 1e-200), ac.uniform(0.0, 1e-170),
+                                    ac.pareto(1e150, 1.0), ac.pareto(1e200, 1.0)])
+    def test_variance_underflowing_to_zero_is_refused(self, ps):
+        # the standardized tail does not depend on the scale (e^-2 for the
+        # exponential at y = 1), but sigma = 0 would give 1.0 at every y
+        assert ac.moments(ps).variance == 0.0
+        match = f"{ps.family.value} variance underflows a double to 0.0"
+        with pytest.raises(DomainError, match=match):
+            ac.tail_probability(ps, 1.0)
+        with pytest.raises(DomainError, match=match):
+            ac.mc_tail(ps, 1.0, 1000, seed=1)
+
     def test_rejects_bad_y(self):
         with pytest.raises(DomainError):
             ac.tail_probability(ac.gaussian(0, 1), 0.0)
