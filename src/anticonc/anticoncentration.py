@@ -25,6 +25,7 @@ from typing import Callable, Optional, Union
 from .distributions import (
     FamilyId,
     ParamSet,
+    _FAMILIES,
     _as_family,
     beta_family,
     binomial,
@@ -62,7 +63,6 @@ __all__ = [
     "witness_ray_description",
 ]
 
-SQRT3 = math.sqrt(3.0)
 #: Upper edge of the proven Student's-t range; a_student_t refuses y past it.
 STUDENT_T_Y_MAX = math.sqrt(6.0) / 2.0
 
@@ -128,11 +128,15 @@ def _check_y(y: float) -> float:
     return float(y)
 
 
+def _scale_free_tail(family: FamilyId, y: float) -> AValue:
+    """A(y) of a family whose standardized tail no parameter moves: that tail."""
+    y = _check_y(y)
+    return AValue(y=y, value=_FAMILIES[family].std_tail(y), family=family)
+
+
 def a_uniform(y: float) -> AValue:
     """A(y) over uniform laws: 1 - y/sqrt(3) below sqrt(3), then zero."""
-    y = _check_y(y)
-    value = 0.0 if y >= SQRT3 else 1.0 - y / SQRT3
-    return AValue(y=y, value=value, family=FamilyId.UNIFORM)
+    return _scale_free_tail(FamilyId.UNIFORM, y)
 
 
 def a_exponential(y: float) -> AValue:
@@ -141,19 +145,12 @@ def a_exponential(y: float) -> AValue:
     1 - e^-(1-y) + e^-(1+y) for y < 1, and e^-(1+y) for y >= 1; the rate
     cancels out, so the infimum equals the tail of the unit-rate law.
     """
-    y = _check_y(y)
-    if y < 1.0:
-        value = 1.0 - math.exp(-(1.0 - y)) + math.exp(-(1.0 + y))
-    else:
-        value = math.exp(-(1.0 + y))
-    return AValue(y=y, value=value, family=FamilyId.EXPONENTIAL)
+    return _scale_free_tail(FamilyId.EXPONENTIAL, y)
 
 
 def a_gaussian(y: float) -> AValue:
     """A(y) over Gaussian laws: 2*Phi(-y), identical for every (mu, sigma)."""
-    y = _check_y(y)
-    value = math.erfc(y / math.sqrt(2.0))
-    return AValue(y=y, value=value, family=FamilyId.GAUSSIAN)
+    return _scale_free_tail(FamilyId.GAUSSIAN, y)
 
 
 def cutoff_ratio(n: int) -> float:

@@ -4,7 +4,9 @@ Parameter validation, exact moments, CDFs, standardized-tail
 probabilities P(|X - mu| >= y * sigma), and seeded samplers.  Each
 family's law is one `Family` record in `_FAMILIES`; the public functions
 look the record up and hold no per-family code, so adding a family means
-adding its `FamilyId` member, constructor and record.  Continuous tails
+adding its `FamilyId` member, constructor and record.  No parameter
+moves a uniform, exponential or Gaussian standardized tail, so those
+are the paper's closed forms in y alone.  Other continuous tails
 come from closed-form CDF/survival pairs (special functions where
 needed; the Student's t CDF, in hypergeometric form, sits beside its
 record); discrete tails are exact complements of an interior pmf sum
@@ -216,11 +218,13 @@ class Family:
 
     Each family gives its fields, constraint check, moments, sampler, and
     the method and error bound of its tails.  A continuous family adds
-    P(X <= x) and P(X >= x).  Weibull and log-normal moments overflow a
-    double far along their witness rays, so those two give log-moments
-    and both tails at e^u instead of the survival function.  A discrete
-    family gives its integer support and log-pmf, plus, when the support
-    is unbounded above, a bound on the pmf ratio that ends the sum.
+    P(X <= x) and P(X >= x); the uniform, exponential and Gaussian give
+    instead their standardized tail in y alone, which no parameter
+    moves.  Weibull and log-normal moments overflow a double far along
+    their witness rays, so those two give log-moments and both tails at
+    e^u instead of the survival function.  A discrete family gives its
+    integer support and log-pmf, plus, when the support is unbounded
+    above, a bound on the pmf ratio that ends the sum.
     """
 
     fields: tuple[str, ...]
@@ -232,6 +236,7 @@ class Family:
     integer_fields: tuple[str, ...] = ()
     cdf: Optional[Callable[[_Params, float], float]] = None  # P(X <= x)
     survival: Optional[Callable[[_Params, float], float]] = None  # P(X >= x)
+    std_tail: Optional[Callable[[float], float]] = None  # P(|X - mu| >= y*sigma), any member
     log_moments: Optional[Callable[[_Params], tuple[float, float]]] = None  # log mu, log sigma
     cdf_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X <= e^u)
     survival_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X >= e^u)
@@ -297,15 +302,6 @@ def _uniform_cdf(p: _Params, x: float) -> float:
     if x >= b:
         return 1.0
     return (x - a) / (b - a)
-
-
-def _uniform_survival(p: _Params, x: float) -> float:
-    a, b = p["a"], p["b"]
-    if x <= a:
-        return 1.0
-    if x >= b:
-        return 0.0
-    return (b - x) / (b - a)
 
 
 def _t_moments(p: _Params) -> Moments:
@@ -491,21 +487,23 @@ _FAMILIES: dict[FamilyId, Family] = {
         moments=lambda p: Moments((p["a"] + p["b"]) / 2.0, _square(p["b"] - p["a"]) / 12.0),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: p["a"] + (p["b"] - p["a"]) * rng.random(size),
-        cdf=_uniform_cdf, survival=_uniform_survival),
+        cdf=_uniform_cdf, std_tail=lambda y: max(0.0, 1.0 - y / math.sqrt(3.0))),
     FamilyId.EXPONENTIAL: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(1.0 / p["lambda"], _over_square(1.0, p["lambda"])),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: -np.log1p(-rng.random(size)) / p["lambda"],
         cdf=lambda p, x: -math.expm1(-p["lambda"] * x) if x > 0.0 else 0.0,
-        survival=lambda p, x: math.exp(-p["lambda"] * x) if x > 0.0 else 1.0),
+        # unit rate: P(X <= 1 - y) + P(X >= 1 + y)
+        std_tail=lambda y: ((1.0 - math.exp(-(1.0 - y)) if y < 1.0 else 0.0)
+                            + math.exp(-(1.0 + y)))),
     FamilyId.GAUSSIAN: Family(
         fields=("mu", "sigma"), check=_positive("sigma"),
         moments=lambda p: Moments(p["mu"], _square(p["sigma"])),
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: p["mu"] + p["sigma"] * rng.standard_normal(size),
         cdf=lambda p, x: std_normal_cdf((x - p["mu"]) / p["sigma"]),
-        survival=lambda p, x: std_normal_cdf((p["mu"] - x) / p["sigma"])),
+        std_tail=lambda y: math.erfc(y / math.sqrt(2.0))),
     FamilyId.STUDENT_T: Family(
         fields=("n",), integer_fields=("n",),
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
@@ -720,14 +718,18 @@ def _tail_sd(family: FamilyId, m: Moments) -> float:
 def tail_probability(ps: ParamSet, y: float) -> TailResult:
     """Exact P(|X - mu| >= y * sigma) with mu, sigma^2 from moments().
 
-    Continuous families: cdf(mu - y*sigma) + P(X >= mu + y*sigma); the
-    boundary has measure zero.  Discrete families: one minus the pmf sum
-    over integers strictly inside (mu - y*sigma, mu + y*sigma), so lattice
-    points at exactly y standard deviations count toward the tail.
+    Uniform, exponential and Gaussian laws: the family's standardized
+    tail at y, which no parameter moves.  Other continuous families:
+    cdf(mu - y*sigma) + P(X >= mu + y*sigma); the boundary has measure
+    zero.  Discrete families: one minus the pmf sum over integers
+    strictly inside (mu - y*sigma, mu + y*sigma), so lattice points at
+    exactly y standard deviations count toward the tail.
     """
     law = _valid_law(ps)
     if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
         raise DomainError(f"tail_probability requires y > 0, got {y!r}")
+    if law.std_tail is not None:
+        return TailResult(law.std_tail(y), law.method, law.abs_error_bound)
     p = ps.params
     if law.log_moments is not None:
         prob = _tail_from_log_scale(law, p, y)
@@ -735,13 +737,13 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
 
     m = law.moments(p)
     sd = _tail_sd(ps.family, m)
-    if math.isinf(y * sd):
-        # a finite variance keeps sigma <= 1.35e154, so y > 1.3e154 and by
-        # Chebyshev the tail is below 1/y^2 < 6e-309: zero as a double
-        return TailResult(0.0, law.method, law.abs_error_bound)
     lo = m.mean - y * sd
     hi = m.mean + y * sd
-    _require_finite_x(lo)  # mu - y*sigma can still overflow a double
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        # a finite mu passes a double's edge only if y*sigma >= 2^970; a finite
+        # variance keeps sigma <= 1.35e154, so y > 7.4e137 and by Chebyshev
+        # the tail is below 1/y^2 < 2e-276, under every family's bound
+        return TailResult(0.0, law.method, law.abs_error_bound)
 
     if law.log_pmf is not None:
         kmin, kmax = law.support(p)

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from anticonc import cli, verify
@@ -14,6 +15,12 @@ GOLDEN_UNIFORM_CSV = (
     "1.5,0.13397459621556129,uniform,\n"
     "2,0,uniform,\n"
 )
+
+# the standardized tail at y = 1, which no parameter of these families moves
+with mpmath.workdps(50):
+    TRUE_TAIL_AT_ONE = {"uniform": float(1 - 1 / mpmath.sqrt(3)),
+                        "exponential": float(mpmath.exp(-2)),
+                        "gaussian": float(mpmath.erfc(1 / mpmath.sqrt(2)))}
 
 
 def run(capsys, *argv):
@@ -129,14 +136,17 @@ class TestTail:
         ("exponential", '{"lambda": 1e-200}'),
     ])
     def test_moments_overflowing_a_double_are_usage_errors(self, capsys, family, params):
-        # valid laws whose mean - y*sd is not a finite double
+        # valid laws whose moments overflow a double: refused where the tail is
+        # standardized by them, answered where no parameter moves the tail
         code, out, err = run(capsys, "tail", "--family", family,
                              "--params", params, "--y", "1.0")
+        if family in TRUE_TAIL_AT_ONE:
+            assert_true_tail_at_one(code, out, err, family)
+            return
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
-        overflowed = {"pareto": "variance is inf", "uniform": "variance is inf",
-                      "gamma": "mean is inf", "neg-binomial": "variance is inf",
-                      "gaussian": "variance is inf", "exponential": "variance is inf"}[family]
+        overflowed = {"pareto": "variance is inf", "gamma": "mean is inf",
+                      "neg-binomial": "variance is inf"}[family]
         assert f"{family} moments overflow a double" in err and overflowed in err
 
     @pytest.mark.parametrize("family,params", [
@@ -146,15 +156,20 @@ class TestTail:
     def test_variance_underflowing_to_zero_is_a_usage_error(self, capsys, family, params):
         code, out, err = run(capsys, "tail", "--family", family,
                              "--params", params, "--y", "1.0")
+        if family in TRUE_TAIL_AT_ONE:
+            assert_true_tail_at_one(code, out, err, family)
+            return
         assert code == 2 and out == ""
         assert err.startswith(f"error: {family} variance underflows a double to 0.0")
 
     def test_tail_at_an_overflowing_y_is_zero(self, capsys):
-        # y * sigma overflows a double: by Chebyshev the tail is below 1/y^2
-        for family, params in (("poisson", '{"lambda": 4.0}'),
-                               ("gaussian", '{"mu": 0.0, "sigma": 10.0}')):
+        # an edge mu -/+ y*sigma overflows a double: by Chebyshev the tail is
+        # below 1/y^2; Poisson(1e308) at 1.7e154 overflows with y*sigma finite
+        for family, params, y in (("poisson", '{"lambda": 4.0}', "1e308"),
+                                  ("gaussian", '{"mu": 0.0, "sigma": 10.0}', "1e308"),
+                                  ("poisson", '{"lambda": 1e308}', "1.7e154")):
             code, out, err = run(capsys, "tail", "--family", family,
-                                 "--params", params, "--y", "1e308")
+                                 "--params", params, "--y", y)
             assert code == 0 and err == ""
             assert json.loads(out)["probability"] == 0.0
 
@@ -165,6 +180,12 @@ class TestTail:
         assert code == 0
         assert json.loads(out)["probability"] == pytest.approx(1.5205831474484516e-22,
                                                                rel=1e-12)
+
+
+def assert_true_tail_at_one(code, out, err, family):
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert abs(data["probability"] - TRUE_TAIL_AT_ONE[family]) <= data["abs_error_bound"]
 
 
 class TestWitness:

@@ -7,7 +7,9 @@ computed independently of this package's special functions).
 
 import json
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +21,27 @@ from anticonc.errors import DomainError
 
 def rng_from(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def tail_at_50_digits(ps, y):
+    """P(|X - mu| >= y sigma) of a uniform, exponential or Gaussian law,
+    from its own parameters in 50-digit mpmath (absolute coordinates)."""
+    with mpmath.workdps(50):
+        p = {name: mpmath.mpf(value) for name, value in ps.params.items()}
+        if ps.family is FamilyId.UNIFORM:
+            a, b = p["a"], p["b"]
+            mean, sd = (a + b) / 2, (b - a) / mpmath.sqrt(12)
+            cdf = lambda x: min(max((x - a) / (b - a), 0), 1)  # noqa: E731
+        elif ps.family is FamilyId.EXPONENTIAL:
+            mean = sd = 1 / p["lambda"]
+            cdf = lambda x: -mpmath.expm1(-p["lambda"] * x) if x > 0 else 0  # noqa: E731
+        else:
+            mean, sd = p["mu"], p["sigma"]
+            # clamped: Phi(-100) < 1e-2000 is 0 as a double, and mpmath's
+            # erfc overflows near 1e155
+            cdf = lambda x: mpmath.ncdf(min(max((x - mean) / sd, -100), 100))  # noqa: E731
+        half = mpmath.mpf(y) * sd
+        return float(cdf(mean - half) + 1 - cdf(mean + half))
 
 
 class TestValidate:
@@ -247,14 +270,62 @@ class TestTailProbability:
                                     ac.gamma_family(1.0, 1e-200), ac.uniform(0.0, 1e-170),
                                     ac.pareto(1e150, 1.0), ac.pareto(1e200, 1.0)])
     def test_variance_underflowing_to_zero_is_refused(self, ps):
-        # the standardized tail does not depend on the scale (e^-2 for the
-        # exponential at y = 1), but sigma = 0 would give 1.0 at every y
+        # sigma = 0 would give 1.0 at every y.  Where no parameter moves the
+        # standardized tail (e^-2 for the exponential at y = 1) it needs no
+        # sigma and is answered; the sampling oracle still standardizes by it.
         assert ac.moments(ps).variance == 0.0
         match = f"{ps.family.value} variance underflows a double to 0.0"
-        with pytest.raises(DomainError, match=match):
-            ac.tail_probability(ps, 1.0)
+        if ps.family in ac.ANTI_CONCENTRATED_FAMILIES:
+            got = ac.tail_probability(ps, 1.0)
+            assert abs(got.probability - tail_at_50_digits(ps, 1.0)) <= got.abs_error_bound
+        else:
+            with pytest.raises(DomainError, match=match):
+                ac.tail_probability(ps, 1.0)
         with pytest.raises(DomainError, match=match):
             ac.mc_tail(ps, 1.0, 1000, seed=1)
+
+    @pytest.mark.parametrize("ps,y", [
+        (ac.uniform(1e6, 1e6 + 1e-3), 1.5),
+        (ac.gaussian(1e6, 1e-3), 1.0),
+        (ac.uniform(100.0, 100.00001), 1.0),
+        (ac.uniform(0.0, 1e-160), 1.0),
+        (ac.gaussian(-1.7e308, 1e153), 1e155),
+        (ac.uniform(-1e308, 1e308), 0.5),
+        (ac.uniform(0.0, 1e200), 1.0),
+        (ac.gaussian(0.0, 1e200), 1.0),
+        (ac.exponential(1e-200), 0.5),
+        (ac.exponential(1e200), 2.0),
+    ])
+    def test_far_location_and_extreme_scale_keep_the_bound(self, ps, y):
+        # mu -/+ y*sigma in doubles lost the scale to the rounding of mu,
+        # or overflowed, or the variance underflowed
+        got = ac.tail_probability(ps, y)
+        assert abs(got.probability - tail_at_50_digits(ps, y)) <= got.abs_error_bound
+
+    def test_tail_is_the_closed_form_for_every_law(self):
+        # no parameter moves these standardized tails, so every law's tail
+        # is A(y) bit for bit, whatever its location and scale
+        rng = random.Random(20241018)
+        closed = {FamilyId.UNIFORM: ac.a_uniform, FamilyId.EXPONENTIAL: ac.a_exponential,
+                  FamilyId.GAUSSIAN: ac.a_gaussian}
+        at_one = {f: ac.tail_probability(ParamSet(f, p), 1.0) for f, p in (
+            (FamilyId.UNIFORM, {"a": 0.0, "b": 1.0}), (FamilyId.EXPONENTIAL, {"lambda": 1.0}),
+            (FamilyId.GAUSSIAN, {"mu": 0.0, "sigma": 1.0}))}
+        for _ in range(300):
+            loc = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+            scale = 10.0 ** rng.uniform(-300, 300)
+            y = 10.0 ** rng.uniform(-6, 2.5)
+            for ps in (ac.uniform(loc, max(loc + scale, math.nextafter(loc, math.inf))),
+                       ac.exponential(1.0 / scale), ac.gaussian(loc, scale)):
+                got = ac.tail_probability(ps, y)
+                want = at_one[ps.family]
+                assert got == ac.TailResult(closed[ps.family](y).value, want.method,
+                                            want.abs_error_bound), (ps, y)
+
+    def test_overflowing_edge_with_finite_y_sigma_gives_zero(self):
+        # mu + y*sigma overflows while y*sigma = 1.7e308 is finite
+        assert ac.tail_probability(ac.poisson(1e308), 1.7e154) == ac.TailResult(
+            0.0, "pmf-sum", 1e-13)
 
     def test_rejects_bad_y(self):
         with pytest.raises(DomainError):
