@@ -716,7 +716,7 @@ def _tail_sd(family: FamilyId, m: Moments) -> float:
 
 
 def tail_probability(ps: ParamSet, y: float) -> TailResult:
-    """Exact P(|X - mu| >= y * sigma) with mu, sigma^2 from moments().
+    """Exact P(|X - mu| >= y * sigma), mu and sigma^2 the law's mean and variance.
 
     Uniform, exponential and Gaussian laws: the family's standardized
     tail at y, which no parameter moves.  Other continuous families:

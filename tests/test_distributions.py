@@ -28,20 +28,22 @@ def tail_at_50_digits(ps, y):
     from its own parameters in 50-digit mpmath (absolute coordinates)."""
     with mpmath.workdps(50):
         p = {name: mpmath.mpf(value) for name, value in ps.params.items()}
+        y = mpmath.mpf(y)
         if ps.family is FamilyId.UNIFORM:
             a, b = p["a"], p["b"]
             mean, sd = (a + b) / 2, (b - a) / mpmath.sqrt(12)
-            cdf = lambda x: min(max((x - a) / (b - a), 0), 1)  # noqa: E731
-        elif ps.family is FamilyId.EXPONENTIAL:
-            mean = sd = 1 / p["lambda"]
-            cdf = lambda x: -mpmath.expm1(-p["lambda"] * x) if x > 0 else 0  # noqa: E731
-        else:
-            mean, sd = p["mu"], p["sigma"]
-            # clamped: Phi(-100) < 1e-2000 is 0 as a double, and mpmath's
-            # erfc overflows near 1e155
-            cdf = lambda x: mpmath.ncdf(min(max((x - mean) / sd, -100), 100))  # noqa: E731
-        half = mpmath.mpf(y) * sd
-        return float(cdf(mean - half) + 1 - cdf(mean + half))
+            lo, hi = mean - y * sd, mean + y * sd
+            return float((max(lo - a, 0) + max(b - hi, 0)) / (b - a))
+        if ps.family is FamilyId.EXPONENTIAL:
+            lam = p["lambda"]
+            lo, hi = (1 - y) / lam, (1 + y) / lam
+            return float((-mpmath.expm1(-lam * lo) if lo > 0 else 0) + mpmath.exp(-lam * hi))
+        mu, sigma = p["mu"], p["sigma"]
+        lo, hi = mu - y * sigma, mu + y * sigma
+        # clamped: Phi(-100) < 1e-2000 is 0 as a double, and mpmath's erfc
+        # overflows near 1e155
+        z_lo, z_hi = max((lo - mu) / sigma, -100), min((hi - mu) / sigma, 100)
+        return float(mpmath.ncdf(z_lo) + 1 - mpmath.ncdf(z_hi))
 
 
 class TestValidate:
