@@ -704,7 +704,7 @@ def _tail_from_log_scale(law: Family, p: _Params, y: float) -> float:
 
 
 def _tail_sd(family: FamilyId, m: Moments) -> float:
-    """sigma from m, refused unless the edges mu -/+ y*sigma are finite and apart."""
+    """sigma from m, refused unless the mean and variance are finite and sigma > 0."""
     if not (math.isfinite(m.mean) and math.isfinite(m.variance)):
         raise DomainError(f"{family.value} moments overflow a double: " + ", ".join(
             f"{name} is {value!r}" for name, value in vars(m).items()
