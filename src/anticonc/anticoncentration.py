@@ -4,8 +4,10 @@ P(|X - mu| >= y * sigma).
 Four families have a strictly positive closed form (uniform, exponential,
 Gaussian, Student's t); the other nine have A(y) = 0, certified here by
 constructing explicit parameters whose standardized tail falls below any
-requested epsilon.  Each of the nine has one ray in `_RAYS`, and one
-search walks and bisects every ray.
+requested epsilon.  Which verdict a family gets follows from its
+`Family` record: each of the nine carries its witness ray there, and one
+search walks and bisects every ray.  `_CLOSED_FORMS` holds the A(y) of
+the other four.
 
 The Student's t curve takes its CDF (hypergeometric form) from
 `distributions`, and a finite cutoff on the degrees-of-freedom scan:
@@ -26,18 +28,10 @@ from .distributions import (
     FamilyId,
     ParamSet,
     _FAMILIES,
+    _Ray,
     _as_family,
-    beta_family,
-    binomial,
-    gamma_family,
-    hypergeometric,
-    log_normal,
-    neg_binomial,
-    pareto,
-    poisson,
     student_t_cdf,
     tail_probability,
-    weibull,
 )
 from .errors import DomainError, SearchError
 from .specfun import clamp_probability
@@ -73,8 +67,7 @@ class Classification(str, Enum):
 
 def classify(family: Union[FamilyId, str]) -> Classification:
     """Whether the family's anti-concentration function is positive or zero."""
-    family = _as_family(family)
-    if family in ANTI_CONCENTRATED_FAMILIES:
+    if _FAMILIES[_as_family(family)].ray is None:
         return Classification.ANTI_CONCENTRATED
     return Classification.ZERO_INFIMUM
 
@@ -229,65 +222,19 @@ _CLOSED_FORMS: dict[FamilyId, Callable[..., AValue]] = {
     FamilyId.STUDENT_T: a_student_t,
 }
 
-ANTI_CONCENTRATED_FAMILIES = frozenset(_CLOSED_FORMS)
+ANTI_CONCENTRATED_FAMILIES = frozenset(f for f, law in _FAMILIES.items() if law.ray is None)
+ZERO_INFIMUM_FAMILIES = frozenset(f for f, law in _FAMILIES.items() if law.ray is not None)
 
 
 # --- epsilon-witness construction for the nine zero-infimum families ------
 
-def _halve(t: float) -> float:
-    return t / 2.0
-
-
-def _split_float(ok: float, bad: float) -> Optional[float]:
-    """Midpoint of the bracket, until it is within 10% of ok."""
-    return 0.5 * (ok + bad) if (bad - ok) > 0.1 * ok else None
-
-
-def _split_int(ok: int, bad: int) -> Optional[int]:
-    """Integer midpoint of the bracket, until its ends are adjacent."""
-    return (ok + bad) // 2 if ok - bad > 1 else None
-
-
-@dataclass(frozen=True)
-class _Ray:
-    """One-dimensional path to the family's degenerate limit.
-
-    From `start`, `step` moves toward the limit, where the tail falls
-    (t halves on the float rays, N doubles on the integer one);
-    `split(ok, bad)` is the next point to try between a certified point
-    and a refused one, or None once the bracket is tight enough.
-    """
-
-    build: Callable[..., ParamSet]
-    start: Union[float, int]
-    description: str
-    step: Callable = _halve
-    split: Callable = _split_float
-
-
-# keyed by the family each ray builds
-_RAYS: dict[FamilyId, _Ray] = {ray.build(ray.start).family: ray for ray in (
-    _Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
-    _Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
-    _Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1"),
-    _Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
-         step=lambda N: 2 * N, split=_split_int),
-    _Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0"),
-    _Ray(lambda t: pareto(2.0 + t, 1.0), 1.0, "A = 1, r -> 2"),
-    _Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0"),
-    _Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity"),
-    _Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0"),
-)}
-
-ZERO_INFIMUM_FAMILIES = frozenset(_RAYS)
-
-
 def _ray(family: Union[FamilyId, str]) -> _Ray:
     family = _as_family(family)
-    if family not in _RAYS:
+    ray = _FAMILIES[family].ray
+    if ray is None:
         raise DomainError(f"family {family.value} is anti-concentrated: its tail "
                           "infimum is positive, so no epsilon-witness exists")
-    return _RAYS[family]
+    return ray
 
 
 def witness_ray_description(family: Union[FamilyId, str]) -> str:

@@ -4,7 +4,10 @@ Parameter validation, exact moments, CDFs, standardized-tail
 probabilities P(|X - mu| >= y * sigma), and seeded samplers.  Each
 family's law is one `Family` record in `_FAMILIES`; the public functions
 look the record up and hold no per-family code, so adding a family means
-adding its `FamilyId` member, constructor and record.  No parameter
+adding its `FamilyId` member, constructor and record.  The record also
+holds the family's panel law, default verification grid and, for the
+nine zero-infimum families, witness ray, so no other module keeps a
+per-family table beside the paper's four closed forms.  No parameter
 moves a uniform, exponential or Gaussian standardized tail, so those
 are the paper's closed forms in y alone.  Other continuous tails
 come from closed-form CDF/survival pairs (special functions where
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Union
 
@@ -207,6 +211,111 @@ class TailResult:
         }
 
 
+# --- verification grids and witness rays ---------------------------------------
+
+_SCALE_ALIASES = {"linear": "linear", "logarithmic": "logarithmic", "log": "logarithmic"}
+
+
+@dataclass(frozen=True)
+class GridAxis:
+    lo: float
+    hi: float
+    points: int
+    scale: str = "linear"
+    integer: bool = False
+
+    def __post_init__(self):
+        if self.scale not in _SCALE_ALIASES:
+            raise DomainError(f"axis scale must be linear or logarithmic, got {self.scale!r}")
+        object.__setattr__(self, "scale", _SCALE_ALIASES[self.scale])
+        if self.points < 2:
+            raise DomainError(f"axis needs at least 2 points, got {self.points}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise DomainError(f"axis range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        if self.scale == "logarithmic" and self.lo <= 0:
+            raise DomainError("logarithmic axis requires lo > 0")
+
+    def values(self) -> np.ndarray:
+        if self.scale == "logarithmic":
+            vals = np.geomspace(self.lo, self.hi, self.points)
+        else:
+            vals = np.linspace(self.lo, self.hi, self.points)
+        if self.integer:
+            vals = np.unique(np.rint(vals).astype(np.int64))
+        return vals
+
+    def to_json_dict(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "points": self.points,
+                "scale": self.scale, "integer": self.integer}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "GridAxis":
+        return cls(lo=float(data["lo"]), hi=float(data["hi"]),
+                   points=int(data["points"]), scale=data.get("scale", "linear"),
+                   integer=bool(data.get("integer", False)))
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Axes to sweep (Cartesian product) plus parameters held fixed.
+
+    Besides the family's own field names, three derived axis names keep
+    grids pointed at the interesting limits: "b" alone for the uniform
+    family means the symmetric interval (-b, b); "q" for the negative
+    binomial means p = 1 - q; "r_excess" for the Pareto means r = 2 +
+    r_excess; a hypergeometric grid over "N" alone implies M = N - 1.
+    `oracle._complete_point` applies these rules to each grid point.
+    """
+
+    axes: Mapping[str, GridAxis]
+    fixed: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.axes:
+            raise DomainError("GridSpec needs at least one axis")
+
+    def to_json_dict(self) -> dict:
+        return {"axes": {k: v.to_json_dict() for k, v in sorted(self.axes.items())},
+                "fixed": dict(self.fixed)}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "GridSpec":
+        axes = {name: GridAxis.from_json_dict(spec)
+                for name, spec in data.get("axes", {}).items()}
+        return cls(axes=axes, fixed=dict(data.get("fixed", {})))
+
+
+def _halve(t: float) -> float:
+    return t / 2.0
+
+
+def _split_float(ok: float, bad: float) -> Optional[float]:
+    """Midpoint of the bracket, until it is within 10% of ok."""
+    return 0.5 * (ok + bad) if (bad - ok) > 0.1 * ok else None
+
+
+def _split_int(ok: int, bad: int) -> Optional[int]:
+    """Integer midpoint of the bracket, until its ends are adjacent."""
+    return (ok + bad) // 2 if ok - bad > 1 else None
+
+
+@dataclass(frozen=True)
+class _Ray:
+    """One-dimensional path to the family's degenerate limit.
+
+    From `start`, `step` moves toward the limit, where the tail falls
+    (t halves on the float rays, N doubles on the integer one);
+    `split(ok, bad)` is the next point to try between a certified point
+    and a refused one, or None once the bracket is tight enough.
+    """
+
+    build: Callable[..., ParamSet]
+    start: Union[float, int]
+    description: str
+    step: Callable = _halve
+    split: Callable = _split_float
+
+
 # --- one record per family ----------------------------------------------------
 
 _Params = Mapping[str, float]
@@ -225,6 +334,13 @@ class Family:
     e^u instead of the survival function.  A discrete family gives its
     integer support and log-pmf, plus, when the support is unbounded
     above, a bound on the pmf ratio that ends the sum.
+
+    Each record also carries what the checks and the paper's verdict need:
+    `panel`, one representative, well-conditioned member, which the
+    verify suites and golden tests evaluate; `grid`, the default grid of
+    `grid_infimum`, bracketed toward the family's limit; and `ray`, the
+    path along which a witness is searched, which only the nine
+    zero-infimum families have (None for the four anti-concentrated ones).
     """
 
     fields: tuple[str, ...]
@@ -233,6 +349,9 @@ class Family:
     method: str
     abs_error_bound: float
     sample: Callable  # (params, rng, size) -> variates
+    panel: ParamSet
+    grid: GridSpec
+    ray: Optional[_Ray] = None
     integer_fields: tuple[str, ...] = ()
     cdf: Optional[Callable[[_Params, float], float]] = None  # P(X <= x)
     survival: Optional[Callable[[_Params, float], float]] = None  # P(X >= x)
@@ -273,15 +392,18 @@ def _exp_moments(log_moments):
 
 
 def _square(x: float) -> float:
-    """x ** 2, or inf where it overflows a double (** raises there)."""
+    """x^2 in doubles, or inf where it overflows (** raises there, and so does
+    float() of an int past a double); an int is not squared exactly, so its
+    square cannot overflow a later division."""
     try:
-        return x ** 2
+        return float(x) ** 2
     except OverflowError:
         return math.inf
 
 
 def _over_square(num: float, x: float) -> float:
-    """num / x^2; where x*x underflows to 0 (x below ~1e-162), num / x / x."""
+    """num / x^2 in doubles; where x*x underflows to 0 (x below ~1e-162), num / x / x."""
+    x = float(x)
     return num / (x * x) if x * x > 0.0 else num / x / x
 
 
@@ -487,12 +609,15 @@ _FAMILIES: dict[FamilyId, Family] = {
         moments=lambda p: Moments((p["a"] + p["b"]) / 2.0, _square(p["b"] - p["a"]) / 12.0),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: p["a"] + (p["b"] - p["a"]) * rng.random(size),
+        panel=uniform(-1.0, 2.0), grid=GridSpec({"b": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
         cdf=_uniform_cdf, std_tail=lambda y: max(0.0, 1.0 - y / math.sqrt(3.0))),
     FamilyId.EXPONENTIAL: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(1.0 / p["lambda"], _over_square(1.0, p["lambda"])),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: -np.log1p(-rng.random(size)) / p["lambda"],
+        panel=exponential(1.3),
+        grid=GridSpec({"lambda": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
         cdf=lambda p, x: -math.expm1(-p["lambda"] * x) if x > 0.0 else 0.0,
         # unit rate: P(X <= 1 - y) + P(X >= 1 + y)
         std_tail=lambda y: ((1.0 - math.exp(-(1.0 - y)) if y < 1.0 else 0.0)
@@ -502,13 +627,18 @@ _FAMILIES: dict[FamilyId, Family] = {
         moments=lambda p: Moments(p["mu"], _square(p["sigma"])),
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: p["mu"] + p["sigma"] * rng.standard_normal(size),
+        panel=gaussian(0.5, 2.0),
+        grid=GridSpec({"mu": GridAxis(-3.0, 3.0, 7),
+                       "sigma": GridAxis(0.1, 10.0, 15, "logarithmic")}),
         cdf=lambda p, x: std_normal_cdf((x - p["mu"]) / p["sigma"]),
         std_tail=lambda y: math.erfc(y / math.sqrt(2.0))),
     FamilyId.STUDENT_T: Family(
         fields=("n",), integer_fields=("n",),
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
         moments=_t_moments, method="special-function", abs_error_bound=1e-12,
-        sample=_t_sample, cdf=lambda p, x: student_t_cdf(int(p["n"]), x),
+        sample=_t_sample, panel=student_t(5),
+        grid=GridSpec({"n": GridAxis(3, 400, 398, "linear", integer=True)}),
+        cdf=lambda p, x: student_t_cdf(int(p["n"]), x),
         survival=lambda p, x: student_t_cdf(int(p["n"]), -x)),
     FamilyId.BINOMIAL: Family(
         fields=("n", "p"), integer_fields=("n",),
@@ -517,12 +647,17 @@ _FAMILIES: dict[FamilyId, Family] = {
                        (lambda p: 0 < p["p"] < 1, "p must lie in (0, 1)")),
         moments=_binomial_moments, method="pmf-sum", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.binomial(int(p["n"]), p["p"], size),
+        panel=binomial(20, 0.3),
+        grid=GridSpec({"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"n": 1}),
+        ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
         support=lambda p: (0, int(p["n"])), log_pmf=_binomial_log_pmf),
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(p["lambda"], p["lambda"]),
         method="pmf-sum", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.poisson(p["lambda"], size),
+        panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
+        ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
         support=lambda p: (0, None),
         log_pmf=lambda p, k: k * math.log(p["lambda"]) - p["lambda"] - log_gamma(k + 1.0),
         ratio_bound=lambda p, k: p["lambda"] / (k + 1.0)),
@@ -533,6 +668,9 @@ _FAMILIES: dict[FamilyId, Family] = {
                         "p must lie in (0, 1); p = 1 is degenerate (zero variance)")),
         moments=_neg_binomial_moments, method="pmf-sum", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.negative_binomial(p["r"], p["p"], size),
+        panel=neg_binomial(2.5, 0.4),
+        grid=GridSpec({"q": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"r": 1.0}),
+        ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1"),
         support=lambda p: (0, None), log_pmf=_neg_binomial_log_pmf,
         ratio_bound=_neg_binomial_ratio_bound),
     FamilyId.HYPERGEOMETRIC: Family(
@@ -541,12 +679,19 @@ _FAMILIES: dict[FamilyId, Family] = {
         moments=_hypergeometric_moments, method="pmf-sum", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.hypergeometric(
             int(p["M"]), int(p["N"]) - int(p["M"]), int(p["n"]), size),
+        panel=hypergeometric(30, 100, 20),
+        grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
+        ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
+                 step=lambda N: 2 * N, split=_split_int),
         support=_hypergeometric_support, log_pmf=_hypergeometric_log_pmf),
     FamilyId.GAMMA: Family(
         fields=("alpha", "beta"), check=_positive("alpha", "beta"),
         moments=lambda p: Moments(p["alpha"] * p["beta"], p["alpha"] * p["beta"] * p["beta"]),
         method="special-function", abs_error_bound=1e-12,
         sample=lambda p, rng, size: rng.gamma(p["alpha"], p["beta"], size),
+        panel=gamma_family(2.5, 1.5),
+        grid=GridSpec({"alpha": GridAxis(1e-6, 1e2, 120, "logarithmic")}, {"beta": 1.0}),
+        ray=_Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0"),
         cdf=lambda p, x: 0.0 if x <= 0.0 else reg_inc_gamma_lower(p["alpha"], x / p["beta"]),
         survival=lambda p, x: (1.0 if x <= 0.0
                                else 1.0 - reg_inc_gamma_lower(p["alpha"], x / p["beta"]))),
@@ -556,6 +701,9 @@ _FAMILIES: dict[FamilyId, Family] = {
                        (lambda p: p["A"] > 0, "A must be positive")),
         moments=_pareto_moments, method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: p["A"] * (1.0 - rng.random(size)) ** (-1.0 / p["r"]),
+        panel=pareto(4.0, 2.0),
+        grid=GridSpec({"r_excess": GridAxis(1e-6, 98.0, 120, "logarithmic")}, {"A": 1.0}),
+        ray=_Ray(lambda t: pareto(2.0 + t, 1.0), 1.0, "A = 1, r -> 2"),
         cdf=lambda p, x: 0.0 if x <= p["A"] else -math.expm1(p["r"] * math.log(p["A"] / x)),
         survival=lambda p, x: 1.0 if x <= p["A"] else math.exp(p["r"] * math.log(p["A"] / x))),
     FamilyId.WEIBULL: Family(
@@ -563,6 +711,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         moments=_exp_moments(_weibull_log_moments), method="closed-form", abs_error_bound=1e-13,
         sample=lambda p, rng, size: ((-np.log1p(-rng.random(size)) / p["lambda"])
                                      ** (1.0 / p["alpha"])),
+        panel=weibull(1.7, 0.8),
+        grid=GridSpec({"alpha": GridAxis(1e-3, 1e2, 120, "logarithmic")}, {"lambda": 1.0}),
+        ray=_Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0"),
         cdf=lambda p, x: 0.0 if x <= 0.0 else -math.expm1(-p["lambda"] * x ** p["alpha"]),
         log_moments=_weibull_log_moments, cdf_at_log=_weibull_cdf_at_log,
         survival_at_log=_weibull_survival_at_log),
@@ -571,6 +722,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         moments=_exp_moments(_lognormal_log_moments),
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: np.exp(p["alpha"] + p["sigma"] * rng.standard_normal(size)),
+        panel=log_normal(0.2, 0.6),
+        grid=GridSpec({"sigma": GridAxis(0.1, 30.0, 120, "logarithmic")}, {"alpha": 0.0}),
+        ray=_Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity"),
         cdf=lambda p, x: 0.0 if x <= 0.0 else _lognormal_cdf_at_log(p, math.log(x)),
         log_moments=_lognormal_log_moments, cdf_at_log=_lognormal_cdf_at_log,
         survival_at_log=lambda p, u: std_normal_cdf((p["alpha"] - u) / p["sigma"])),
@@ -578,6 +732,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         fields=("p", "q"), check=_positive("p", "q"),
         moments=_beta_moments, method="special-function", abs_error_bound=1e-12,
         sample=lambda p, rng, size: rng.beta(p["p"], p["q"], size),
+        panel=beta_family(2.0, 5.0),
+        grid=GridSpec({"q": GridAxis(1e-6, 1.0, 100, "logarithmic")}, {"p": 1.0}),
+        ray=_Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0"),
         cdf=_beta_cdf, survival=_beta_survival),
 }
 
@@ -602,13 +759,17 @@ def validate(ps: ParamSet) -> list[str]:
         if name not in ps.params:
             continue
         value = ps.params[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        # nan and inf fail the comparison, and an int past a double compares
+        # exactly where math.isfinite would raise OverflowError
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not abs(value) <= sys.float_info.max):
             problems.append(f"parameter {name!r} must be a finite number, got {value!r}")
     if problems:
         return problems
 
     for name in law.integer_fields:
-        if float(ps.params[name]) != math.floor(ps.params[name]):
+        value = ps.params[name]
+        if not (isinstance(value, int) or value.is_integer()):
             problems.append(f"{name} must be an integer")
     if problems:
         return problems

@@ -4,7 +4,10 @@ Nothing here shares code with the closed forms it checks: the quadrature
 oracle integrates the Student's-t density with scipy's adaptive QUADPACK
 rules (scipy's log-gamma, not ours), the Monte Carlo oracle estimates
 tails from seeded PCG64 streams, and the grid oracle brute-forces the
-parameter infimum that the closed forms claim to attain.
+parameter infimum that the closed forms claim to attain.  Its grid types
+`GridAxis` and `GridSpec`, and each family's default grid, live with the
+family records in `distributions`; `_complete_point` below is the rule
+that turns a grid's derived axes into the family's own parameters.
 
 scipy is imported on the first quadrature call, not with this module:
 it takes most of a second to load, and nothing else in the package
@@ -15,14 +18,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from .distributions import (
     FamilyId,
+    GridAxis,
+    GridSpec,
     ParamSet,
+    _FAMILIES,
     _as_family,
     _tail_sd,
     moments,
@@ -138,77 +144,6 @@ def quad_normal_symmetric_tail(y: float) -> float:
 
 # --- brute-force grid infimum ---------------------------------------------
 
-_SCALE_ALIASES = {"linear": "linear", "logarithmic": "logarithmic", "log": "logarithmic"}
-
-
-@dataclass(frozen=True)
-class GridAxis:
-    lo: float
-    hi: float
-    points: int
-    scale: str = "linear"
-    integer: bool = False
-
-    def __post_init__(self):
-        if self.scale not in _SCALE_ALIASES:
-            raise DomainError(f"axis scale must be linear or logarithmic, got {self.scale!r}")
-        object.__setattr__(self, "scale", _SCALE_ALIASES[self.scale])
-        if self.points < 2:
-            raise DomainError(f"axis needs at least 2 points, got {self.points}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise DomainError(f"axis range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.scale == "logarithmic" and self.lo <= 0:
-            raise DomainError("logarithmic axis requires lo > 0")
-
-    def values(self) -> np.ndarray:
-        if self.scale == "logarithmic":
-            vals = np.geomspace(self.lo, self.hi, self.points)
-        else:
-            vals = np.linspace(self.lo, self.hi, self.points)
-        if self.integer:
-            vals = np.unique(np.rint(vals).astype(np.int64))
-        return vals
-
-    def to_json_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "points": self.points,
-                "scale": self.scale, "integer": self.integer}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GridAxis":
-        return cls(lo=float(data["lo"]), hi=float(data["hi"]),
-                   points=int(data["points"]), scale=data.get("scale", "linear"),
-                   integer=bool(data.get("integer", False)))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axes to sweep (Cartesian product) plus parameters held fixed.
-
-    Besides the family's own field names, three derived axis names keep
-    grids pointed at the interesting limits: "b" alone for the uniform
-    family means the symmetric interval (-b, b); "q" for the negative
-    binomial means p = 1 - q; "r_excess" for the Pareto means r = 2 +
-    r_excess; a hypergeometric grid over "N" alone implies M = N - 1.
-    """
-
-    axes: Mapping[str, GridAxis]
-    fixed: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.axes:
-            raise DomainError("GridSpec needs at least one axis")
-
-    def to_json_dict(self) -> dict:
-        return {"axes": {k: v.to_json_dict() for k, v in sorted(self.axes.items())},
-                "fixed": dict(self.fixed)}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GridSpec":
-        axes = {name: GridAxis.from_json_dict(spec)
-                for name, spec in data.get("axes", {}).items()}
-        return cls(axes=axes, fixed=dict(data.get("fixed", {})))
-
-
 @dataclass(frozen=True)
 class InfimumEstimate:
     value: float
@@ -261,38 +196,6 @@ def grid_infimum(family: Union[FamilyId, str], y: float, grid: GridSpec) -> Infi
     return InfimumEstimate(value=best, argmin=best_ps, grid=grid)
 
 
-_DEFAULT_GRIDS: dict[FamilyId, GridSpec] = {
-    FamilyId.UNIFORM: GridSpec(
-        axes={"b": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
-    FamilyId.EXPONENTIAL: GridSpec(
-        axes={"lambda": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
-    FamilyId.GAUSSIAN: GridSpec(
-        axes={"mu": GridAxis(-3.0, 3.0, 7),
-              "sigma": GridAxis(0.1, 10.0, 15, "logarithmic")}),
-    FamilyId.STUDENT_T: GridSpec(
-        axes={"n": GridAxis(3, 400, 398, "linear", integer=True)}),
-    FamilyId.BINOMIAL: GridSpec(
-        axes={"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, fixed={"n": 1}),
-    FamilyId.POISSON: GridSpec(
-        axes={"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
-    FamilyId.NEG_BINOMIAL: GridSpec(
-        axes={"q": GridAxis(1e-6, 0.5, 100, "logarithmic")}, fixed={"r": 1.0}),
-    FamilyId.HYPERGEOMETRIC: GridSpec(
-        axes={"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)},
-        fixed={"n": 1}),
-    FamilyId.GAMMA: GridSpec(
-        axes={"alpha": GridAxis(1e-6, 1e2, 120, "logarithmic")}, fixed={"beta": 1.0}),
-    FamilyId.PARETO: GridSpec(
-        axes={"r_excess": GridAxis(1e-6, 98.0, 120, "logarithmic")}, fixed={"A": 1.0}),
-    FamilyId.WEIBULL: GridSpec(
-        axes={"alpha": GridAxis(1e-3, 1e2, 120, "logarithmic")}, fixed={"lambda": 1.0}),
-    FamilyId.LOG_NORMAL: GridSpec(
-        axes={"sigma": GridAxis(0.1, 30.0, 120, "logarithmic")}, fixed={"alpha": 0.0}),
-    FamilyId.BETA: GridSpec(
-        axes={"q": GridAxis(1e-6, 1.0, 100, "logarithmic")}, fixed={"p": 1.0}),
-}
-
-
 def default_grid(family: Union[FamilyId, str]) -> GridSpec:
     """Canonical verification grid, bracketed toward the family's limiting ray."""
-    return _DEFAULT_GRIDS[_as_family(family)]
+    return _FAMILIES[_as_family(family)].grid

@@ -1,8 +1,10 @@
 """Acceptance suite.
 
 One test per criterion, each printing a pass/fail line (run with -s to
-watch them).  Tolerances are pinned in the asserts; runtime budgets are
-enforced with perf counters.
+watch them).  Runtime budgets are enforced with perf counters.  Where a
+criterion shares a check with `anticonc verify`, it runs that check's one
+body from `anticonc.verify` at the master seed, with the tolerance pinned
+there; assertions only a criterion makes are pinned here.
 """
 
 import math
@@ -13,10 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 import anticonc as ac
-from anticonc import cli
-from anticonc.specfun import gauss_2f1, reg_inc_beta
-
-SEEDS = ac.derive_seeds(123456789, 256)
+from anticonc import cli, verify
 
 
 @contextmanager
@@ -33,89 +32,65 @@ def criterion(num, label, budget=None):
         assert elapsed < budget, f"criterion {num} ran {elapsed:.2f}s, budget {budget}s"
 
 
+def passes(*checks):
+    """Run each verify check at the master seed; every line it reports must pass."""
+    for check in checks:
+        for result in check(verify.MASTER_SEED):
+            assert result.passed, (result.name, result.detail)
+
+
 def test_criterion_1_uniform_closed_form():
     with criterion(1, "uniform curve vs grid infimum and Monte Carlo", budget=5.0):
-        want = 1.0 - 1.0 / math.sqrt(3.0)
-        assert abs(ac.a_uniform(1.0).value - want) <= 1e-15
-
-        grid = ac.GridSpec(axes={"b": ac.GridAxis(1e-2, 1e2, 100, "logarithmic")})
-        est = ac.grid_infimum("uniform", 1.0, grid)
-        assert abs(est.value - want) <= 1e-12
-
-        mc = ac.mc_tail(ac.uniform(-1.0, 1.0), 1.0, 10**6, seed=SEEDS[0])
-        se = math.sqrt(want * (1.0 - want) / 10**6)
-        assert abs(mc.estimate - want) <= 4.0 * se
+        assert abs(ac.a_uniform(1.0).value - (1.0 - 1.0 / math.sqrt(3.0))) <= 1e-15
+        passes(verify.uniform_grid_infimum, verify.mc_at_minimizing_laws)
 
 
 def test_criterion_2_exponential_closed_form():
     with criterion(2, "exponential curve vs exact tails, rate-invariant grid"):
-        assert abs(ac.a_exponential(1.0).value - math.exp(-2.0)) <= 1e-15
         want_half = 1.0 - math.exp(-0.5) + math.exp(-1.5)
-        assert abs(ac.a_exponential(0.5).value - want_half) <= 1e-15
-
         for y, want in ((1.0, math.exp(-2.0)), (0.5, want_half)):
-            tail = ac.tail_probability(ac.exponential(1.0), y).probability
-            assert abs(tail - want) <= 1e-12
-
-        lams = np.geomspace(1e-2, 1e2, 100)
-        tails = [ac.tail_probability(ac.exponential(float(lam)), 1.0).probability
-                 for lam in lams]
-        assert max(tails) - min(tails) <= 1e-12
+            assert abs(ac.a_exponential(y).value - want) <= 1e-15
+            assert abs(ac.tail_probability(ac.exponential(1.0), y).probability - want) <= 1e-12
+        passes(verify.exponential_rate_invariance)
         est = ac.grid_infimum("exponential", 1.0, ac.default_grid("exponential"))
         assert abs(est.value - math.exp(-2.0)) <= 1e-12
 
 
 def test_criterion_3_gaussian_vs_quadrature():
     with criterion(3, "gaussian curve vs quadrature of the normal density"):
-        for y in (0.5, 1.0, 2.0, 3.0):
-            closed = ac.a_gaussian(y).value
-            quad = ac.quad_normal_symmetric_tail(y)
-            assert abs(closed - quad) <= 1e-10
+        passes(verify.gaussian_quadrature)
 
 
 def test_criterion_4_student_t_curve_and_cdf_agreement():
     with criterion(4, "student-t curve vs wide scan; CDF series vs quadrature",
                    budget=30.0):
-        for y in (0.25, 0.5, 0.75, 1.0, 1.1, 1.2):
-            best = max(ac.inner_probability(n, y) for n in range(3, 401))
-            assert abs(ac.a_student_t(y).value - (1.0 - best)) <= 1e-12
-        for n in range(1, 51):
-            for x in (-5.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5.0):
-                diff = abs(ac.student_t_cdf(n, x) - ac.quad_student_cdf(n, x))
-                assert diff <= 1e-10, (n, x, diff)
+        passes(verify.student_t_scan, verify.t_cdf_quadrature)
 
 
 def test_criterion_5_small_y_fast_path_and_monotone_mass():
     with criterion(5, "fast {3,4} scan matches; central mass decreasing"):
+        passes(verify.student_t_fast_path)
         for y in np.linspace(0.1, 1.0, 10):
             y = float(y)
-            full = ac.a_student_t(y).value
-            short = 2.0 - 2.0 * max(
-                ac.student_t_cdf(n, y * math.sqrt(n / (n - 2.0))) for n in (3, 4))
-            assert abs(full - short) <= 1e-12
             js = {n: ac.inner_probability(n, y) for n in range(3, 102)}
             for n in range(3, 100):
                 assert js[n + 2] < js[n], (y, n)
 
 
+def _exact_ratio(n):
+    return Fraction(3 * n * n - 14 * n + 16, 2 * n * n - 6 * n + 3)
+
+
 def test_criterion_6_cutoff_dof_values():
     with criterion(6, "cutoff degrees of freedom confirmed by exact rationals"):
-        # hand values of the sequence at n = 3..6
-        exact = {n: Fraction(3 * n * n - 14 * n + 16, 2 * n * n - 6 * n + 3)
-                 for n in range(3, 7)}
-        assert exact[3] == Fraction(1, 3)
-        assert exact[4] == Fraction(8, 11)
-        assert exact[5] == Fraction(21, 23)
-        assert exact[6] == Fraction(40, 39)
-        for n, frac in exact.items():
-            assert abs(ac.cutoff_ratio(n) - float(frac)) <= 1e-15
-
+        passes(verify.cutoff_values, verify.cutoff_sequence)
+        assert [_exact_ratio(n) for n in range(3, 7)] == [
+            Fraction(1, 3), Fraction(8, 11), Fraction(21, 23), Fraction(40, 39)]
+        # independent scan with exact rational comparisons
         for y, want in ((0.5, 3), (0.9, 5), (1.0, 6)):
-            assert ac.cutoff_dof(y) == want
-            # independent scan with exact rational comparisons
             y2 = Fraction(y).limit_denominator(10**6) ** 2
             n = 3
-            while not y2 < Fraction(3 * n * n - 14 * n + 16, 2 * n * n - 6 * n + 3):
+            while not y2 < _exact_ratio(n):
                 n += 1
             assert n == want
 
@@ -123,44 +98,12 @@ def test_criterion_6_cutoff_dof_values():
 def test_criterion_7_zero_infimum_certificates():
     with criterion(7, "epsilon-witnesses for all nine families, Monte Carlo confirmed",
                    budget=120.0):
-        families = sorted(ac.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value)
-        i = 1
-        for family in families:
-            for y in (0.5, 1.0, 2.0):
-                for eps in (1e-2, 1e-3, 1e-4):
-                    w = ac.witness_parameter(family, y, eps)
-                    assert ac.validate(w.params) == []
-                    assert w.achieved_tail <= eps, (family, y, eps, w)
-                    exact = ac.tail_probability(w.params, y).probability
-                    assert exact == w.achieved_tail
-
-                    mc = ac.mc_tail(w.params, y, 10**6, seed=SEEDS[i])
-                    i += 1
-                    se = math.sqrt(max(exact * (1.0 - exact), 0.0) / 10**6)
-                    assert abs(mc.estimate - exact) <= 4.0 * se + 1e-15, \
-                        (family, y, eps, mc.estimate, exact)
+        passes(verify.witnesses_certified)
 
 
 def test_criterion_8_special_function_identities():
     with criterion(8, "hypergeometric identity panels and incomplete-beta duality"):
-        for a in (0.6, 1.5, 3.25, 7.0):
-            for b in (0.5, 1.0, 2.0, 5.5):
-                for z in (-4.0, -1.0, -0.5, 0.0, 0.5):
-                    got = gauss_2f1(a, b, a, z)
-                    want = (1.0 - z) ** (-b)
-                    assert abs(got - want) <= 1e-11 * abs(want)
-        for n in range(3, 51):
-            for y in (0.25, 0.5, 1.0, 1.2):
-                z = -y * y / n
-                lhs = (n + 1) / 2.0 * gauss_2f1(0.5, (n + 3) / 2.0, 1.5, z)
-                rhs = (n / 2.0 * gauss_2f1(0.5, (n + 1) / 2.0, 1.5, z)
-                       + 0.5 * (1.0 - z) ** (-(n + 1) / 2.0))
-                assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
-        for a, b in ((0.5, 0.5), (2.0, 3.0), (0.1, 7.0)):
-            for x in np.linspace(0.01, 0.99, 30):
-                x = float(x)
-                total = reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a)
-                assert abs(total - 1.0) <= 1e-12
+        passes(verify.twof1_reduction, verify.contiguous_relation, verify.beta_duality)
 
 
 def test_criterion_9_verify_all_is_green(capsys):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import anticonc as ac
-from anticonc import FamilyId, distributions
+from anticonc import FamilyId, anticoncentration, distributions
 from anticonc.errors import DomainError, SearchError
 
 SQRT3 = math.sqrt(3.0)
@@ -35,6 +35,22 @@ class TestClassify:
     def test_partition_is_complete(self):
         assert ac.ANTI_CONCENTRATED_FAMILIES | ac.ZERO_INFIMUM_FAMILIES == frozenset(FamilyId)
         assert not ac.ANTI_CONCENTRATED_FAMILIES & ac.ZERO_INFIMUM_FAMILIES
+
+
+class TestFamilyRecords:
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_record_is_complete_and_matches_the_verdict(self, family):
+        law = distributions._FAMILIES[family]
+        assert law.panel.family is family and ac.validate(law.panel) == []
+        ac.grid_infimum(family, 1.0, law.grid)  # raises at any invalid grid point
+        assert ac.default_grid(family) is law.grid
+        if law.ray is not None:
+            start = law.ray.build(law.ray.start)
+            assert start.family is family and ac.validate(start) == []
+        # one verdict per family: a ray (zero infimum) or a closed-form A(y)
+        zero = ac.classify(family) is ac.Classification.ZERO_INFIMUM
+        assert zero == (law.ray is not None)
+        assert zero != (family in anticoncentration._CLOSED_FORMS)
 
 
 class TestUniformCurve:

@@ -162,6 +162,30 @@ class TestTail:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {family} variance underflows a double to 0.0")
 
+    def test_an_int_past_a_double_is_a_usage_error(self, capsys):
+        huge = "1" + "0" * 400
+        code, out, err = run(capsys, "tail", "--family", "uniform",
+                             "--params", f'{{"a": 0, "b": {huge}}}', "--y", "1")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"parameter 'b' must be a finite number, got {huge}" in err
+
+    def test_an_int_past_a_double_is_an_integer(self, capsys):
+        code, out, err = run(capsys, "tail", "--family", "student-t",
+                             "--params", f'{{"n": {10**30}}}', "--y", "1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["probability"] == pytest.approx(TRUE_TAIL_AT_ONE["gaussian"],
+                                                               abs=1e-12)
+
+    def test_int_scale_tails_match_their_float_twins(self, capsys):
+        for family, ints, floats in (("uniform", '{"a": 0, "b": %d}' % 10**300,
+                                      '{"a": 0.0, "b": 1e300}'),
+                                     ("gaussian", '{"mu": 0, "sigma": %d}' % 10**200,
+                                      '{"mu": 0.0, "sigma": 1e200}')):
+            got = run(capsys, "tail", "--family", family, "--params", ints, "--y", "1")
+            assert got == run(capsys, "tail", "--family", family, "--params", floats,
+                              "--y", "1")
+            assert_true_tail_at_one(*got, family)
+
     def test_tail_at_an_overflowing_y_is_zero(self, capsys):
         # an edge mu -/+ y*sigma overflows a double: by Chebyshev the tail is
         # below 1/y^2; Poisson(1e308) at 1.7e154 overflows with y*sigma finite

@@ -83,6 +83,14 @@ class TestValidate:
     def test_integer_fields_enforced(self):
         assert ac.validate(ParamSet(FamilyId.BINOMIAL, {"n": 2.5, "p": 0.3}))
 
+    @pytest.mark.parametrize("n", [10**30, 2**53 + 1])
+    def test_an_int_past_a_double_is_an_integer(self, n):
+        assert ac.validate(ac.student_t(n)) == []
+
+    def test_an_int_too_large_for_a_double_is_not_a_finite_number(self):
+        assert ac.validate(ac.uniform(0, 10**400)) == [
+            f"parameter 'b' must be a finite number, got {10**400!r}"]
+
     def test_operations_raise_on_invalid(self):
         with pytest.raises(DomainError):
             ac.moments(ac.pareto(2.0, 1.0))
@@ -141,6 +149,16 @@ class TestMoments:
                  ac.weibull(0.5, 1), ac.log_normal(0, 0.1), ac.beta_family(1, 0.01)]
         for ps in panel:
             assert ac.moments(ps).variance > 0
+
+    @pytest.mark.parametrize("ps,twin,variance", [
+        (ac.uniform(0, 10**300), ac.uniform(0.0, 1e300), math.inf),
+        (ac.gaussian(0, 10**200), ac.gaussian(0.0, 1e200), math.inf),
+        (ac.exponential(10**300), ac.exponential(1e300), 0.0),
+    ])
+    def test_int_parameters_square_like_their_float_twins(self, ps, twin, variance):
+        # squared as exact ints, these overflowed the division that follows
+        assert ac.moments(ps) == ac.moments(twin)
+        assert ac.moments(ps).variance == variance
 
     def test_neg_binomial_variance_past_the_underflow_of_p_squared(self):
         # p*p underflows to 0 below p ~ 1e-162; r(1-p)/p^2 must not divide by it

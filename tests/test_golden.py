@@ -20,6 +20,7 @@ import pytest
 
 import anticonc as ac
 from anticonc import cli
+from anticonc.distributions import _FAMILIES
 from anticonc.errors import DomainError, InternalError
 
 DATA = Path(__file__).with_name("golden.json")
@@ -75,8 +76,6 @@ EDGE_LAWS = [
 
 
 def _cli_panel():
-    from anticonc.verify import MC_PANEL
-
     cases = {}
     for family in ac.FamilyId:
         cases[f"curve/{family.value}"] = [
@@ -94,10 +93,10 @@ def _cli_panel():
         "curve", "--family", "cauchy", "--y-min", "0.5", "--y-max", "1", "--steps", "2"]
     cases["curve/bad-range"] = [
         "curve", "--family", "uniform", "--y-min", "2", "--y-max", "1", "--steps", "4"]
-    for family, ps in MC_PANEL.items():
+    for family, law in _FAMILIES.items():
         for y in Y_PANEL:
             cases[f"tail/{family.value}/{y:g}"] = [
-                "tail", "--family", family.value, "--params", json.dumps(dict(ps.params)),
+                "tail", "--family", family.value, "--params", json.dumps(dict(law.panel.params)),
                 "--y", repr(y)]
     for i, (family, params) in enumerate(REJECTED):
         cases[f"tail/rejected/{i}/{family}"] = [
@@ -125,10 +124,9 @@ def _cli_panel():
 
 
 def _lib_panel():
-    from anticonc.verify import MC_PANEL
-
     cases = {}
-    for family, ps in MC_PANEL.items():
+    for family, record in _FAMILIES.items():
+        ps = record.panel
         law = ps.to_json_dict()
         m = ac.moments(ps)
         sd = math.sqrt(m.variance)

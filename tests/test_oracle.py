@@ -11,6 +11,7 @@ import pytest
 
 import anticonc as ac
 from anticonc import GridAxis, GridSpec
+from anticonc.distributions import _FAMILIES
 from anticonc.errors import DomainError
 
 
@@ -45,6 +46,11 @@ class TestMcTail:
     def test_rejects_invalid_params(self):
         with pytest.raises(DomainError):
             ac.mc_tail(ac.pareto(2.0, 1.0), 1.0, 10**4, seed=1)
+
+    def test_int_scale_past_the_variance_is_refused_like_its_float_twin(self):
+        for ps in (ac.gaussian(0, 10**200), ac.gaussian(0.0, 1e200)):
+            with pytest.raises(DomainError, match="variance is inf"):
+                ac.mc_tail(ps, 1.0, 1000, seed=1)
 
     def test_derived_seeds_are_deterministic(self):
         assert ac.derive_seeds(42, 5) == ac.derive_seeds(42, 5)
@@ -100,10 +106,8 @@ _IMPORT_PROBE = textwrap.dedent("""
 
 
 def test_scipy_loads_with_the_first_quadrature_call_only():
-    from anticonc.verify import MC_PANEL
-
     src = Path(ac.__file__).resolve().parent.parent
-    params = json.dumps(dict(MC_PANEL[ac.FamilyId.POISSON].params))
+    params = json.dumps(dict(_FAMILIES[ac.FamilyId.POISSON].panel.params))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), params],
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout)
