@@ -30,6 +30,7 @@ from .distributions import (
     _FAMILIES,
     _Ray,
     _as_family,
+    _check_y,
     student_t_cdf,
     tail_probability,
 )
@@ -113,12 +114,6 @@ class Witness:
             "params": self.params.to_json_dict(),
             "achieved_tail": self.achieved_tail,
         }
-
-
-def _check_y(y: float) -> float:
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
-        raise DomainError(f"y must be a positive real, got {y!r}")
-    return float(y)
 
 
 def _scale_free_tail(family: FamilyId, y: float) -> AValue:

@@ -50,8 +50,8 @@ def _curve_row(family: FamilyId, y: float):
         est = oracle.grid_infimum(family, y, oracle.default_grid(family))
         return est.value, "numeric-grid:n=3..400", "numeric-grid:n=3..400"
     av = a_fn(y)
-    d = {"n0": av.detail.n0, "argmax_n": av.detail.argmax_n}
-    return av.value, f"n0={av.detail.n0};argmax_n={av.detail.argmax_n}", d
+    return (av.value, f"n0={av.detail.n0};argmax_n={av.detail.argmax_n}",
+            av.to_json_dict()["detail"])
 
 
 def cmd_curve(args) -> int:
@@ -100,7 +100,7 @@ def cmd_tail(args) -> int:
         return _fail("--params must be a JSON object of parameter fields")
     ps = ParamSet(family, params)
     try:
-        dist.require_valid(ps)
+        dist._valid_law(ps)
         if not (args.y > 0 and math.isfinite(args.y)):
             return _fail(f"--y must be a positive real, got {args.y}")
         result = dist.tail_probability(ps, args.y)

@@ -21,7 +21,6 @@ exactly y standard deviations from the mean belongs to the tail.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -100,7 +99,7 @@ def _as_family(family: Union[FamilyId, str]) -> FamilyId:
 class ParamSet:
     """A family tag plus its parameter record.
 
-    Wire format: {"family": "<kebab-case>", "params": {...}} with the
+    Written as {"family": "<kebab-case>", "params": {...}} with the
     family's field names ("lambda", "alpha", ... spelled out).
     """
 
@@ -116,23 +115,6 @@ class ParamSet:
 
     def to_json_dict(self) -> dict:
         return {"family": self.family.value, "params": dict(self.params)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ParamSet":
-        if not isinstance(data, Mapping) or "family" not in data or "params" not in data:
-            raise DomainError('parameter JSON must look like {"family": ..., "params": {...}}')
-        family = _as_family(data["family"])
-        params = data["params"]
-        if not isinstance(params, Mapping):
-            raise DomainError('"params" must be a JSON object')
-        return cls(family=family, params=dict(params))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ParamSet":
-        return cls.from_json_dict(json.loads(text))
 
 
 # convenience constructors (lambda is a keyword, hence `lam`)
@@ -213,9 +195,6 @@ class TailResult:
 
 # --- verification grids and witness rays ---------------------------------------
 
-_SCALE_ALIASES = {"linear": "linear", "logarithmic": "logarithmic", "log": "logarithmic"}
-
-
 @dataclass(frozen=True)
 class GridAxis:
     lo: float
@@ -225,9 +204,8 @@ class GridAxis:
     integer: bool = False
 
     def __post_init__(self):
-        if self.scale not in _SCALE_ALIASES:
+        if self.scale not in ("linear", "logarithmic"):
             raise DomainError(f"axis scale must be linear or logarithmic, got {self.scale!r}")
-        object.__setattr__(self, "scale", _SCALE_ALIASES[self.scale])
         if self.points < 2:
             raise DomainError(f"axis needs at least 2 points, got {self.points}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
@@ -247,12 +225,6 @@ class GridAxis:
     def to_json_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "points": self.points,
                 "scale": self.scale, "integer": self.integer}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GridAxis":
-        return cls(lo=float(data["lo"]), hi=float(data["hi"]),
-                   points=int(data["points"]), scale=data.get("scale", "linear"),
-                   integer=bool(data.get("integer", False)))
 
 
 @dataclass(frozen=True)
@@ -277,12 +249,6 @@ class GridSpec:
     def to_json_dict(self) -> dict:
         return {"axes": {k: v.to_json_dict() for k, v in sorted(self.axes.items())},
                 "fixed": dict(self.fixed)}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GridSpec":
-        axes = {name: GridAxis.from_json_dict(spec)
-                for name, spec in data.get("axes", {}).items()}
-        return cls(axes=axes, fixed=dict(data.get("fixed", {})))
 
 
 def _halve(t: float) -> float:
@@ -392,18 +358,15 @@ def _exp_moments(log_moments):
 
 
 def _square(x: float) -> float:
-    """x^2 in doubles, or inf where it overflows (** raises there, and so does
-    float() of an int past a double); an int is not squared exactly, so its
-    square cannot overflow a later division."""
+    """x^2, or inf where it overflows a double (** raises there)."""
     try:
-        return float(x) ** 2
+        return x ** 2
     except OverflowError:
         return math.inf
 
 
 def _over_square(num: float, x: float) -> float:
-    """num / x^2 in doubles; where x*x underflows to 0 (x below ~1e-162), num / x / x."""
-    x = float(x)
+    """num / x^2; where x*x underflows to 0 (x below ~1e-162), num / x / x."""
     return num / (x * x) if x * x > 0.0 else num / x / x
 
 
@@ -424,11 +387,6 @@ def _uniform_cdf(p: _Params, x: float) -> float:
     if x >= b:
         return 1.0
     return (x - a) / (b - a)
-
-
-def _t_moments(p: _Params) -> Moments:
-    n = float(p["n"])
-    return Moments(0.0, n / (n - 2.0))
 
 
 # x^2 past which student_t_cdf takes the tail from the incomplete beta.  Every
@@ -473,19 +431,19 @@ def student_t_cdf(n: int, x: float) -> float:
 
 
 def _t_sample(p: _Params, rng: np.random.Generator, size):
-    n = int(p["n"])
+    n = p["n"]
     z = rng.standard_normal(size)
     v = rng.chisquare(n, size)
     return z / np.sqrt(v / n)
 
 
 def _binomial_moments(p: _Params) -> Moments:
-    n, pr = float(p["n"]), p["p"]
+    n, pr = p["n"], p["p"]
     return Moments(n * pr, n * pr * (1.0 - pr))
 
 
 def _binomial_log_pmf(p: _Params, k: int) -> float:
-    n, pr = int(p["n"]), p["p"]
+    n, pr = p["n"], p["p"]
     return (_log_binom_coeff(n, k) + k * math.log(pr)
             + (n - k) * math.log1p(-pr))
 
@@ -533,12 +491,12 @@ def _hypergeometric_moments(p: _Params) -> Moments:
 
 
 def _hypergeometric_support(p: _Params) -> tuple[int, int]:
-    M, N, n = int(p["M"]), int(p["N"]), int(p["n"])
+    M, N, n = p["M"], p["N"], p["n"]
     return max(0, n - (N - M)), min(M, n)
 
 
 def _hypergeometric_log_pmf(p: _Params, k: int) -> float:
-    M, N, n = int(p["M"]), int(p["N"]), int(p["n"])
+    M, N, n = p["M"], p["N"], p["n"]
     return (_log_binom_coeff(M, k) + _log_binom_coeff(N - M, n - k)
             - _log_binom_coeff(N, n))
 
@@ -635,22 +593,23 @@ _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.STUDENT_T: Family(
         fields=("n",), integer_fields=("n",),
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
-        moments=_t_moments, method="special-function", abs_error_bound=1e-12,
+        moments=lambda p: Moments(0.0, p["n"] / (p["n"] - 2.0)),
+        method="special-function", abs_error_bound=1e-12,
         sample=_t_sample, panel=student_t(5),
         grid=GridSpec({"n": GridAxis(3, 400, 398, "linear", integer=True)}),
-        cdf=lambda p, x: student_t_cdf(int(p["n"]), x),
-        survival=lambda p, x: student_t_cdf(int(p["n"]), -x)),
+        cdf=lambda p, x: student_t_cdf(p["n"], x),
+        survival=lambda p, x: student_t_cdf(p["n"], -x)),
     FamilyId.BINOMIAL: Family(
         fields=("n", "p"), integer_fields=("n",),
         # p = 1 would make the variance zero, which the standardized tail cannot use
         check=_require((lambda p: p["n"] >= 1, "n must be >= 1"),
                        (lambda p: 0 < p["p"] < 1, "p must lie in (0, 1)")),
         moments=_binomial_moments, method="pmf-sum", abs_error_bound=1e-13,
-        sample=lambda p, rng, size: rng.binomial(int(p["n"]), p["p"], size),
+        sample=lambda p, rng, size: rng.binomial(p["n"], p["p"], size),
         panel=binomial(20, 0.3),
         grid=GridSpec({"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"n": 1}),
         ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
-        support=lambda p: (0, int(p["n"])), log_pmf=_binomial_log_pmf),
+        support=lambda p: (0, p["n"]), log_pmf=_binomial_log_pmf),
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(p["lambda"], p["lambda"]),
@@ -677,8 +636,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         fields=("M", "N", "n"), integer_fields=("M", "N", "n"),
         check=_check_hypergeometric,
         moments=_hypergeometric_moments, method="pmf-sum", abs_error_bound=1e-13,
-        sample=lambda p, rng, size: rng.hypergeometric(
-            int(p["M"]), int(p["N"]) - int(p["M"]), int(p["n"]), size),
+        sample=lambda p, rng, size: rng.hypergeometric(p["M"], p["N"] - p["M"], p["n"], size),
         panel=hypergeometric(30, 100, 20),
         grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
         ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
@@ -741,12 +699,11 @@ _FAMILIES: dict[FamilyId, Family] = {
 
 # --- the public operations, generic over the table ------------------------------
 
-def validate(ps: ParamSet) -> list[str]:
-    """Check every parameter invariant; the violations are the return value.
-
-    An empty list means the ParamSet is valid.  Structural problems
-    (wrong field names, non-numeric values) are reported the same way.
-    """
+def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
+    """ps's record, its parameters and its violations.  Once each value is a
+    number within a double (and an integer where the field is), integer fields
+    are typed as int and the rest as float, and the constraints are checked on
+    these values, the ones the record computes with."""
     law = _FAMILIES[ps.family]
     problems: list[str] = []
     got = set(ps.params)
@@ -765,32 +722,49 @@ def validate(ps: ParamSet) -> list[str]:
                 or not abs(value) <= sys.float_info.max):
             problems.append(f"parameter {name!r} must be a finite number, got {value!r}")
     if problems:
-        return problems
+        return law, ps.params, problems
 
     for name in law.integer_fields:
         value = ps.params[name]
         if not (isinstance(value, int) or value.is_integer()):
             problems.append(f"{name} must be an integer")
     if problems:
-        return problems
-    return law.check(ps.params)
+        return law, ps.params, problems
+    typed = {name: int(value) if name in law.integer_fields else float(value)
+             for name, value in ps.params.items()}
+    return law, typed, law.check(typed)
 
 
-def require_valid(ps: ParamSet) -> None:
-    problems = validate(ps)
+def validate(ps: ParamSet) -> list[str]:
+    """Check every parameter invariant; the violations are the return value.
+
+    An empty list means the ParamSet is valid.  Structural problems
+    (wrong field names, non-numeric values) are reported the same way.
+    """
+    return _checked(ps)[2]
+
+
+def _valid_law(ps: ParamSet) -> tuple[Family, _Params]:
+    """The record of ps's family and its typed parameters, once ps is valid."""
+    law, params, problems = _checked(ps)
     if problems:
         raise DomainError(f"invalid {ps.family.value} parameters: " + "; ".join(problems))
+    return law, params
 
 
-def _valid_law(ps: ParamSet) -> Family:
-    """The record of ps's family, once ps has passed validation."""
-    require_valid(ps)
-    return _FAMILIES[ps.family]
+def _check_y(y: float) -> float:
+    """y as a float, once it is a positive real within a double."""
+    # nan, inf and an int past a double fail the comparison, where
+    # math.isfinite would raise OverflowError on the int
+    if not (isinstance(y, (int, float)) and 0.0 < y <= sys.float_info.max):
+        raise DomainError(f"y must be a positive real, got {y!r}")
+    return float(y)
 
 
 def moments(ps: ParamSet) -> Moments:
     """Exact mean and variance; past a double they overflow to inf or underflow to 0.0."""
-    return _valid_law(ps).moments(ps.params)
+    law, p = _valid_law(ps)
+    return law.moments(p)
 
 
 _DISCRETE_LOOP_CAP = 10**7
@@ -829,9 +803,8 @@ def _require_finite_x(x: float) -> None:
 
 def cdf(ps: ParamSet, x: float) -> float:
     """P(X <= x); right-continuous with the atom at x for discrete families."""
-    law = _valid_law(ps)
+    law, p = _valid_law(ps)
     _require_finite_x(x)
-    p = ps.params
     if law.log_pmf is None:
         return law.cdf(p, x)
     kmin, kmax = law.support(p)
@@ -886,12 +859,10 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     strictly inside (mu - y*sigma, mu + y*sigma), so lattice points at
     exactly y standard deviations count toward the tail.
     """
-    law = _valid_law(ps)
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0.0):
-        raise DomainError(f"tail_probability requires y > 0, got {y!r}")
+    law, p = _valid_law(ps)
+    y = _check_y(y)
     if law.std_tail is not None:
         return TailResult(law.std_tail(y), law.method, law.abs_error_bound)
-    p = ps.params
     if law.log_moments is not None:
         prob = _tail_from_log_scale(law, p, y)
         return TailResult(prob, law.method, law.abs_error_bound)
@@ -927,7 +898,8 @@ def sample(ps: ParamSet, rng: np.random.Generator, size=None):
     Student's t uses the normal-over-chi construction, and the remaining
     families use the generator's native (rejection/summation) methods.
     """
-    out = _valid_law(ps).sample(ps.params, rng, size)
+    law, p = _valid_law(ps)
+    out = law.sample(p, rng, size)
     if size is None:
         return float(out)
     return out

@@ -30,10 +30,9 @@ from .distributions import (
     ParamSet,
     _FAMILIES,
     _as_family,
+    _check_y,
     _tail_sd,
-    moments,
-    require_valid,
-    sample,
+    _valid_law,
     tail_probability,
     validate,
 )
@@ -63,10 +62,6 @@ class McEstimate:
     n_samples: int
     seed: int
 
-    def to_json_dict(self) -> dict:
-        return {"estimate": self.estimate, "std_err": self.std_err,
-                "n_samples": self.n_samples, "seed": self.seed}
-
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Deterministic child seeds, one per task, from a 64-bit master seed."""
@@ -76,15 +71,14 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     """Empirical fraction of |X - mu| >= y*sigma over a seeded PCG64 stream."""
-    require_valid(ps)
+    law, p = _valid_law(ps)
     if not (isinstance(n_samples, int) and n_samples >= 1000):
         raise DomainError(f"mc_tail requires n_samples >= 1000, got {n_samples!r}")
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0):
-        raise DomainError(f"mc_tail requires y > 0, got {y!r}")
-    m = moments(ps)
+    y = _check_y(y)
+    m = law.moments(p)
     sd = _tail_sd(ps.family, m)
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = sample(ps, rng, size=n_samples)
+    draws = law.sample(p, rng, n_samples)
     hits = np.count_nonzero(np.abs(draws - m.mean) >= y * sd)
     est = hits / n_samples
     std_err = math.sqrt(est * (1.0 - est) / n_samples)
@@ -128,9 +122,7 @@ def quad_student_cdf(n: int, x: float) -> float:
 
 def quad_normal_symmetric_tail(y: float) -> float:
     """P(|Z| >= y) for standard normal Z, by quadrature of the density."""
-    if not (isinstance(y, (int, float)) and math.isfinite(y) and y > 0):
-        raise DomainError(f"quad_normal_symmetric_tail requires y > 0, got {y!r}")
-
+    y = _check_y(y)
     from scipy import integrate
 
     def pdf(t: float) -> float:
@@ -149,10 +141,6 @@ class InfimumEstimate:
     value: float
     argmin: ParamSet
     grid: GridSpec
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "argmin": self.argmin.to_json_dict(),
-                "grid": self.grid.to_json_dict()}
 
 
 def _complete_point(family: FamilyId, point: dict) -> dict:

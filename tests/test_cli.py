@@ -180,11 +180,22 @@ class TestTail:
         for family, ints, floats in (("uniform", '{"a": 0, "b": %d}' % 10**300,
                                       '{"a": 0.0, "b": 1e300}'),
                                      ("gaussian", '{"mu": 0, "sigma": %d}' % 10**200,
-                                      '{"mu": 0.0, "sigma": 1e200}')):
+                                      '{"mu": 0.0, "sigma": 1e200}'),
+                                     ("gamma", '{"alpha": %d, "beta": %d}' % (10**200, 10**200),
+                                      '{"alpha": 1e200, "beta": 1e200}'),
+                                     ("pareto", '{"r": 4, "A": %d}' % 10**200,
+                                      '{"r": 4.0, "A": 1e200}'),
+                                     ("beta", '{"p": %d, "q": %d}' % (10**200, 10**200),
+                                      '{"p": 1e200, "q": 1e200}')):
             got = run(capsys, "tail", "--family", family, "--params", ints, "--y", "1")
             assert got == run(capsys, "tail", "--family", family, "--params", floats,
                               "--y", "1")
-            assert_true_tail_at_one(*got, family)
+            if family in TRUE_TAIL_AT_ONE:
+                assert_true_tail_at_one(*got, family)
+                continue
+            code, out, err = got
+            assert code == 2 and out == "" and "Traceback" not in err
+            assert err.startswith(f"error: {family} moments overflow a double")
 
     def test_tail_at_an_overflowing_y_is_zero(self, capsys):
         # an edge mu -/+ y*sigma overflows a double: by Chebyshev the tail is

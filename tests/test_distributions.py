@@ -5,7 +5,6 @@ Tail literals were frozen from scipy.stats (cdf/sf and exact pmf sums
 computed independently of this package's special functions).
 """
 
-import json
 import math
 import random
 
@@ -44,6 +43,32 @@ def tail_at_50_digits(ps, y):
         # overflows near 1e155
         z_lo, z_hi = max((lo - mu) / sigma, -100), min((hi - mu) / sigma, 100)
         return float(mpmath.ncdf(z_lo) + 1 - mpmath.ncdf(z_hi))
+
+
+def outcome(fn, *args):
+    """The repr of fn(*args), or the message of the DomainError it raises."""
+    try:
+        return repr(fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+# each entry point that takes a standardized distance y, at a law it accepts
+Y_ENTRY_POINTS = {
+    "tail_probability": lambda y: ac.tail_probability(ac.poisson(4.0), y),
+    "mc_tail": lambda y: ac.mc_tail(ac.gaussian(0.0, 1.0), y, 1000, seed=1),
+    "a_uniform": ac.a_uniform,
+    "witness_parameter": lambda y: ac.witness_parameter("beta", y, 1e-3),
+    "quad_normal_symmetric_tail": ac.quad_normal_symmetric_tail,
+}
+
+
+@pytest.mark.parametrize("name", sorted(Y_ENTRY_POINTS))
+def test_an_int_y_is_checked_and_typed_like_its_float_twin(name):
+    fn = Y_ENTRY_POINTS[name]
+    with pytest.raises(DomainError, match="y must be a positive real"):
+        fn(10**400)
+    assert repr(fn(2)) == repr(fn(2.0))
 
 
 class TestValidate:
@@ -154,11 +179,16 @@ class TestMoments:
         (ac.uniform(0, 10**300), ac.uniform(0.0, 1e300), math.inf),
         (ac.gaussian(0, 10**200), ac.gaussian(0.0, 1e200), math.inf),
         (ac.exponential(10**300), ac.exponential(1e300), 0.0),
+        (ac.gamma_family(10**200, 10**200), ac.gamma_family(1e200, 1e200), math.inf),
+        (ac.pareto(4, 10**200), ac.pareto(4.0, 1e200), math.inf),
+        (ac.beta_family(10**200, 10**200), ac.beta_family(1e200, 1e200), math.nan),
+        (ac.uniform(10**308, 17 * 10**307), ac.uniform(1e308, 1.7e308), math.inf),
     ])
     def test_int_parameters_square_like_their_float_twins(self, ps, twin, variance):
-        # squared as exact ints, these overflowed the division that follows
-        assert ac.moments(ps) == ac.moments(twin)
-        assert ac.moments(ps).variance == variance
+        # in exact int arithmetic, these overflowed the float step that follows
+        assert repr(ac.moments(ps)) == repr(ac.moments(twin))
+        assert repr(ac.moments(ps).variance) == repr(variance)
+        assert outcome(ac.tail_probability, ps, 1.0) == outcome(ac.tail_probability, twin, 1.0)
 
     def test_neg_binomial_variance_past_the_underflow_of_p_squared(self):
         # p*p underflows to 0 below p ~ 1e-162; r(1-p)/p^2 must not divide by it
@@ -394,12 +424,6 @@ class TestSample:
 
 
 class TestParamSetJson:
-    def test_wire_format_round_trip(self):
-        ps = ac.exponential(2.5)
-        data = json.loads(ps.to_json())
-        assert data == {"family": "exponential", "params": {"lambda": 2.5}}
-        assert ParamSet.from_json(ps.to_json()) == ps
-
     def test_greek_letters_are_spelled_out(self):
         assert set(ac.gamma_family(1.0, 2.0).params) == {"alpha", "beta"}
         assert set(ac.weibull(1.0, 2.0).params) == {"alpha", "lambda"}
@@ -409,10 +433,8 @@ class TestParamSetJson:
         assert FamilyId.STUDENT_T.value == "student-t"
         assert FamilyId.NEG_BINOMIAL.value == "neg-binomial"
         assert FamilyId.LOG_NORMAL.value == "log-normal"
-        assert ParamSet.from_json(
-            '{"family": "neg-binomial", "params": {"r": 1, "p": 0.5}}'
-        ).family is FamilyId.NEG_BINOMIAL
+        assert ParamSet("neg-binomial", {"r": 1, "p": 0.5}).family is FamilyId.NEG_BINOMIAL
 
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
-            ParamSet.from_json('{"family": "cauchy", "params": {}}')
+            ParamSet("cauchy", {})

@@ -158,7 +158,7 @@ def run_cli(argv):
 
 def run_lib(case):
     """The repr of one library call, or the type and message of its error."""
-    ps = ac.ParamSet.from_json_dict(case["law"])
+    ps = ac.ParamSet(**case["law"])
     try:
         if case["fn"] == "moments":
             return repr(ac.moments(ps))
