@@ -299,7 +299,9 @@ class Family:
     their witness rays, so those two give log-moments and both tails at
     e^u instead of the survival function.  A discrete family gives its
     integer support and log-pmf, plus, when the support is unbounded
-    above, a bound on the pmf ratio that ends the sum.
+    above, a bound on the pmf ratio that ends the sum.  Each function
+    sees the parameters typed once: integer fields as int, the rest as
+    float.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the
@@ -712,6 +714,8 @@ def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
         problems.append(f"missing parameter {name!r}")
     for name in sorted(got - expected):
         problems.append(f"unexpected parameter {name!r}")
+    typed: dict = {}
+    fractional = []  # reported only once every field is present and a number
     for name in law.fields:
         if name not in ps.params:
             continue
@@ -721,17 +725,14 @@ def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
                 or not abs(value) <= sys.float_info.max):
             problems.append(f"parameter {name!r} must be a finite number, got {value!r}")
-    if problems:
-        return law, ps.params, problems
-
-    for name in law.integer_fields:
-        value = ps.params[name]
-        if not (isinstance(value, int) or value.is_integer()):
-            problems.append(f"{name} must be an integer")
-    if problems:
-        return law, ps.params, problems
-    typed = {name: int(value) if name in law.integer_fields else float(value)
-             for name, value in ps.params.items()}
+        elif name not in law.integer_fields:
+            typed[name] = float(value)
+        elif isinstance(value, int) or value.is_integer():
+            typed[name] = int(value)
+        else:
+            fractional.append(f"{name} must be an integer")
+    if problems or fractional:
+        return law, ps.params, problems or fractional
     return law, typed, law.check(typed)
 
 
