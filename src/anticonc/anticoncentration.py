@@ -30,7 +30,9 @@ from .distributions import (
     _FAMILIES,
     _Ray,
     _as_family,
+    _check_dof,
     _check_y,
+    _is_number,
     student_t_cdf,
     tail_probability,
 )
@@ -163,7 +165,8 @@ def cutoff_dof(y: float) -> int:
     y = _check_y(y)
     if y >= STUDENT_T_Y_MAX:
         raise DomainError(
-            f"cutoff_dof requires y < sqrt(6)/2 = {STUDENT_T_Y_MAX!r}, got {y}")
+            f"cutoff_dof requires y < sqrt(6)/2 = {STUDENT_T_Y_MAX!r}, got {y} "
+            "(use a numeric grid search for larger y)")
     p, q = y.as_integer_ratio()
     m, d = p * p, q * q
     a, b, c = 3 * d - 2 * m, 6 * m - 14 * d, 16 * d - 3 * m
@@ -177,8 +180,7 @@ def cutoff_dof(y: float) -> int:
 
 def inner_probability(n: int, y: float) -> float:
     """Central mass P(|X_n| < y * sqrt(n/(n-2))) for a t variable, n >= 3."""
-    if not (isinstance(n, int) and n >= 3):
-        raise DomainError(f"inner_probability requires an integer n >= 3, got {n!r}")
+    n = _check_dof(n, 3)
     y = _check_y(y)
     x = y * math.sqrt(n / (n - 2.0))
     return clamp_probability(2.0 * student_t_cdf(n, x) - 1.0,
@@ -190,14 +192,10 @@ def a_student_t(y: float) -> AValue:
 
     Equals 2 - 2 * max over n in {3, ..., cutoff_dof(y) + 1} of
     F_n(y * sqrt(n/(n-2))).  Only proven for 0 < y < sqrt(6)/2; outside
-    that range this raises rather than extrapolate.
+    that range cutoff_dof raises rather than extrapolate.
     """
-    y = _check_y(y)
-    if y >= STUDENT_T_Y_MAX:
-        raise DomainError(
-            f"a_student_t is only defined for y < sqrt(6)/2 = {STUDENT_T_Y_MAX!r}; "
-            f"got y = {y} (use a numeric grid search for larger y)")
     m = cutoff_dof(y)
+    y = float(y)
     best_cdf = -math.inf
     best_n = -1
     for n in range(3, m + 2):
@@ -237,21 +235,24 @@ def witness_ray_description(family: Union[FamilyId, str]) -> str:
     return _ray(family).description
 
 
-def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float,
-                      max_steps: int = 200) -> Witness:
+# walk and bisection steps a witness search may take before it gives up
+_MAX_WITNESS_STEPS = 200
+
+
+def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) -> Witness:
     """Concrete parameters with standardized tail at most epsilon.
 
     Walks the family's limiting ray (halving t, or doubling N for the
     hypergeometric) until the exact tail drops below epsilon, then
     bisects back toward the boundary so the certificate is not wastefully
     deep; the integer ray bisects to the exact boundary.  Each walk and
-    bisection step counts against max_steps.  The achieved tail always
-    comes from the exact tail engine.
+    bisection step counts against _MAX_WITNESS_STEPS.  The achieved tail
+    always comes from the exact tail engine.
     """
     family = _as_family(family)
     ray = _ray(family)
     y = _check_y(y)
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
+    if not (_is_number(epsilon) and 0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     epsilon = float(epsilon)
 
@@ -271,6 +272,6 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float,
             if t is None:
                 return Witness(family, y, epsilon, ray.build(ok), ok_tail)
         steps += 1
-        if steps > max_steps:
-            raise SearchError(f"{family.value} witness search exceeded {max_steps} steps "
-                              f"(y={y}, epsilon={epsilon})")
+        if steps > _MAX_WITNESS_STEPS:
+            raise SearchError(f"{family.value} witness search exceeded "
+                              f"{_MAX_WITNESS_STEPS} steps (y={y}, epsilon={epsilon})")

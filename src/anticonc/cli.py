@@ -5,7 +5,11 @@
     anticonc witness --family F --y Y --epsilon E
     anticonc verify  [specfun|closed-forms|witnesses|oracles|all]
 
-Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
+Exit codes: 0 success; 1 a verification failure, or a computation that
+did not converge or tripped an internal guard; 2 a usage or validation
+error.  `main` is the one place that turns an error into its
+`error: <message>` line on stderr and its exit code; no traceback is
+printed for these.
 `verify --seed` sets the master seed of the Monte Carlo checks.
 CSV output is deterministic byte-for-byte for fixed flags: floats are
 printed with round-trip %.17g formatting.
@@ -15,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,19 +27,14 @@ from . import anticoncentration as anti
 from . import distributions as dist
 from . import oracle, verify
 from .distributions import FamilyId, ParamSet
-from .errors import DomainError, SearchError
+from .errors import ConvergenceError, DomainError, InternalError, SearchError
 
 USAGE_ERROR = 2
-VERIFY_ERROR = 1
+VERIFY_ERROR = 1  # also a computation that did not converge or tripped a guard
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _curve_row(family: FamilyId, y: float):
@@ -55,29 +53,22 @@ def _curve_row(family: FamilyId, y: float):
 
 
 def cmd_curve(args) -> int:
-    try:
-        family = dist._as_family(args.family)
-    except DomainError as exc:
-        return _fail(str(exc))
+    family = dist._as_family(args.family)
     if not (0.0 < args.y_min < args.y_max):
-        return _fail(f"need 0 < y-min < y-max, got [{args.y_min}, {args.y_max}]")
+        raise DomainError(f"need 0 < y-min < y-max, got [{args.y_min}, {args.y_max}]")
     if args.steps < 2:
-        return _fail(f"steps must be >= 2, got {args.steps}")
+        raise DomainError(f"steps must be >= 2, got {args.steps}")
     if (family is FamilyId.STUDENT_T and not args.numeric_fallback
             and args.y_max >= anti.STUDENT_T_Y_MAX):
-        return _fail(
+        raise DomainError(
             "the student-t closed form covers only y < sqrt(6)/2 = "
             f"{anti.STUDENT_T_Y_MAX!r}; rerun with --numeric-fallback to get an "
             "explicitly-labeled grid-search value beyond it")
 
-    ys = np.linspace(args.y_min, args.y_max, args.steps)
     rows = []
-    try:
-        for y in ys:
-            value, detail_s, detail_j = _curve_row(family, float(y))
-            rows.append((float(y), value, detail_s, detail_j))
-    except DomainError as exc:
-        return _fail(str(exc))
+    for y in np.linspace(args.y_min, args.y_max, args.steps):
+        value, detail_s, detail_j = _curve_row(family, float(y))
+        rows.append((float(y), value, detail_s, detail_j))
 
     if args.format == "csv":
         print("y,value,family,detail")
@@ -91,30 +82,23 @@ def cmd_curve(args) -> int:
 
 
 def cmd_tail(args) -> int:
+    family = dist._as_family(args.family)
     try:
-        family = dist._as_family(args.family)
         params = json.loads(args.params)
-    except (DomainError, ValueError) as exc:
-        return _fail(str(exc))
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
     if not isinstance(params, dict):
-        return _fail("--params must be a JSON object of parameter fields")
+        raise DomainError("--params must be a JSON object of parameter fields")
     ps = ParamSet(family, params)
-    try:
-        dist._valid_law(ps)
-        if not (args.y > 0 and math.isfinite(args.y)):
-            return _fail(f"--y must be a positive real, got {args.y}")
-        result = dist.tail_probability(ps, args.y)
-    except DomainError as exc:  # e.g. a variance that overflows a double
-        return _fail(str(exc))
+    dist._valid_law(ps)  # the parameters are reported before --y
+    dist._check_y(args.y, "--y")
+    result = dist.tail_probability(ps, args.y)
     print(json.dumps(result.to_json_dict(), sort_keys=True))
     return 0
 
 
 def cmd_witness(args) -> int:
-    try:
-        w = anti.witness_parameter(args.family, args.y, args.epsilon)
-    except (DomainError, SearchError) as exc:
-        return _fail(str(exc))
+    w = anti.witness_parameter(args.family, args.y, args.epsilon)
     print(f"construction: {anti.witness_ray_description(w.family)}", file=sys.stderr)
     print(json.dumps(w.to_json_dict(), sort_keys=True))
     return 0
@@ -122,10 +106,7 @@ def cmd_witness(args) -> int:
 
 def cmd_verify(args) -> int:
     names = verify.SUITES if args.suite == "all" else (args.suite,)
-    try:
-        results = verify.run_suites(names, args.seed)
-    except DomainError as exc:  # a seed outside 64 bits
-        return _fail(str(exc))
+    results = [r for name in names for r in verify.run_suite(name, args.seed)]
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -181,7 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DomainError, SearchError, ConvergenceError, InternalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR if isinstance(exc, (DomainError, SearchError)) else VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -95,6 +95,42 @@ def _as_family(family: Union[FamilyId, str]) -> FamilyId:
         raise DomainError(f"unknown family {family!r}; expected one of: {known}") from None
 
 
+_DOUBLE_MAX = sys.float_info.max
+
+
+def _is_number(v) -> bool:
+    """The one rule for a number argument or parameter: a float (numpy's
+    float64 is one) or an int that is not a bool, within a double.  nan and
+    inf fail the comparison, and an int past a double compares exactly where
+    math.isfinite would raise OverflowError."""
+    return (isinstance(v, float) or type(v) is int) and abs(v) <= _DOUBLE_MAX
+
+
+def _check_y(y: float, name: str = "y") -> float:
+    """y as a float, once it is a positive number (name: y's name in the message)."""
+    if not (_is_number(y) and y > 0.0):
+        raise DomainError(f"{name} must be a positive real, got {y!r}")
+    return float(y)
+
+
+def _check_x(x: float) -> float:
+    """x as a float, once it is a number."""
+    if not _is_number(x):
+        raise DomainError(f"x must be a finite real, got {x!r}")
+    return float(x)
+
+
+def _check_dof(n: int, least: int) -> int:
+    """n, once it is an int (no float or bool) from least up to a double's max.
+
+    This is _is_number's rule for an int, written out to save a call in
+    student_t_cdf, which the t curve makes n0 + 1 times.
+    """
+    if not (type(n) is int and least <= n <= _DOUBLE_MAX):
+        raise DomainError(f"n must be an integer >= {least} within a double, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """A family tag plus its parameter record.
@@ -208,7 +244,7 @@ class GridAxis:
             raise DomainError(f"axis scale must be linear or logarithmic, got {self.scale!r}")
         if self.points < 2:
             raise DomainError(f"axis needs at least 2 points, got {self.points}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        if not (_is_number(self.lo) and _is_number(self.hi) and self.lo < self.hi):
             raise DomainError(f"axis range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
         if self.scale == "logarithmic" and self.lo <= 0:
             raise DomainError("logarithmic axis requires lo > 0")
@@ -414,10 +450,8 @@ def student_t_cdf(n: int, x: float) -> float:
     1 - z = x^2/(n + x^2) taken from x rather than from z.  The series
     result is clamped to [0, 1] (its rounding can stray an ulp outside).
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"student_t_cdf requires an integer n >= 1, got {n!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"student_t_cdf requires finite x, got {x!r}")
+    n = _check_dof(n, 1)
+    x = _check_x(x)
     if x == 0.0:
         return 0.5
     x2 = x * x
@@ -566,7 +600,8 @@ _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.UNIFORM: Family(
         fields=("a", "b"),
         check=_require((lambda p: p["a"] < p["b"], "a must be < b")),
-        moments=lambda p: Moments((p["a"] + p["b"]) / 2.0, _square(p["b"] - p["a"]) / 12.0),
+        # halved first: a + b overflows where the mean does not
+        moments=lambda p: Moments(p["a"] / 2.0 + p["b"] / 2.0, _square(p["b"] - p["a"]) / 12.0),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: p["a"] + (p["b"] - p["a"]) * rng.random(size),
         panel=uniform(-1.0, 2.0), grid=GridSpec({"b": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
@@ -720,10 +755,7 @@ def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
         if name not in ps.params:
             continue
         value = ps.params[name]
-        # nan and inf fail the comparison, and an int past a double compares
-        # exactly where math.isfinite would raise OverflowError
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not abs(value) <= sys.float_info.max):
+        if not _is_number(value):
             problems.append(f"parameter {name!r} must be a finite number, got {value!r}")
         elif name not in law.integer_fields:
             typed[name] = float(value)
@@ -751,15 +783,6 @@ def _valid_law(ps: ParamSet) -> tuple[Family, _Params]:
     if problems:
         raise DomainError(f"invalid {ps.family.value} parameters: " + "; ".join(problems))
     return law, params
-
-
-def _check_y(y: float) -> float:
-    """y as a float, once it is a positive real within a double."""
-    # nan, inf and an int past a double fail the comparison, where
-    # math.isfinite would raise OverflowError on the int
-    if not (isinstance(y, (int, float)) and 0.0 < y <= sys.float_info.max):
-        raise DomainError(f"y must be a positive real, got {y!r}")
-    return float(y)
 
 
 def moments(ps: ParamSet) -> Moments:
@@ -797,15 +820,10 @@ def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: Optional[int], upper
     return total
 
 
-def _require_finite_x(x: float) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"cdf requires finite x, got {x!r}")
-
-
 def cdf(ps: ParamSet, x: float) -> float:
     """P(X <= x); right-continuous with the atom at x for discrete families."""
     law, p = _valid_law(ps)
-    _require_finite_x(x)
+    x = _check_x(x)
     if law.log_pmf is None:
         return law.cdf(p, x)
     kmin, kmax = law.support(p)
@@ -893,11 +911,12 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
 def sample(ps: ParamSet, rng: np.random.Generator, size=None):
     """Draw variates with the family's law from a caller-owned generator.
 
-    Returns a float (or int for discrete families) when size is None,
-    otherwise an ndarray.  Deterministic given the generator state; the
-    light-tailed continuous families use explicit inverse-CDF transforms,
-    Student's t uses the normal-over-chi construction, and the remaining
-    families use the generator's native (rejection/summation) methods.
+    Returns a float when size is None, for discrete families too (3.0, not
+    3), otherwise an ndarray.  Deterministic given the generator state;
+    the light-tailed continuous families use explicit inverse-CDF
+    transforms, Student's t uses the normal-over-chi construction, and the
+    remaining families use the generator's native (rejection/summation)
+    methods.
     """
     law, p = _valid_law(ps)
     out = law.sample(p, rng, size)

@@ -30,6 +30,8 @@ from .distributions import (
     ParamSet,
     _FAMILIES,
     _as_family,
+    _check_dof,
+    _check_x,
     _check_y,
     _tail_sd,
     _valid_law,
@@ -102,10 +104,8 @@ def quad_student_cdf(n: int, x: float) -> float:
     1/2 + integral of the density over [0, x], with the x < 0 case folded
     through symmetry.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"quad_student_cdf requires an integer n >= 1, got {n!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"quad_student_cdf requires finite x, got {x!r}")
+    n = _check_dof(n, 1)
+    x = _check_x(x)
     if x < 0.0:
         return 1.0 - quad_student_cdf(n, -x)
     if x == 0.0:

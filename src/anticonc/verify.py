@@ -29,7 +29,7 @@ from .distributions import FamilyId
 from .errors import DomainError
 from .specfun import gauss_2f1, log_gamma, reg_inc_beta, reg_inc_gamma_lower, std_normal_cdf
 
-__all__ = ["CheckResult", "SUITES", "MASTER_SEED", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITES", "MASTER_SEED", "run_suite"]
 
 # each Monte Carlo check draws _MC_SAMPLES variates from a seed derived from MASTER_SEED
 MASTER_SEED = 123456789
@@ -379,16 +379,9 @@ _SUITE_CHECKS = {
 SUITES = tuple(_SUITE_CHECKS)
 
 
-def run_suite(name: str, seed: int = MASTER_SEED) -> list[CheckResult]:
+def run_suite(name: str, seed: int) -> list[CheckResult]:
     if name not in _SUITE_CHECKS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise DomainError(f"seed must be a 64-bit integer, got {seed}")
     return [result for check in _SUITE_CHECKS[name] for result in check(seed)]
-
-
-def run_suites(names, seed: int = MASTER_SEED) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(run_suite(name, seed))
-    return results

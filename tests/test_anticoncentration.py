@@ -421,10 +421,11 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
                                               key=lambda f: f.value))
-    def test_search_out_of_steps_raises(self, family):
+    def test_search_out_of_steps_raises(self, family, monkeypatch):
         # every ray's start is far from certifying 1e-4, so the walk must step
+        monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", 1)
         with pytest.raises(SearchError, match=f"{family.value} witness search exceeded"):
-            ac.witness_parameter(family, 1.0, 1e-4, max_steps=1)
+            ac.witness_parameter(family, 1.0, 1e-4)
 
     @pytest.mark.parametrize("family,epsilon,walk,steps", [
         # N = 2 -> 256 in 7 doublings, then 7 bisections down to N = 200
@@ -432,13 +433,16 @@ class TestWitnesses:
         # lambda = 0.5 -> 0.5/64 in 6 halvings, then 3 bisections
         ("poisson", 0.01, 6, 9),
     ])
-    def test_search_runs_out_during_bisection(self, family, epsilon, walk, steps):
+    def test_search_runs_out_during_bisection(self, family, epsilon, walk, steps,
+                                              monkeypatch):
         full = ac.witness_parameter(family, 1.0, epsilon)
-        assert ac.witness_parameter(family, 1.0, epsilon, max_steps=steps) == full
+        monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", steps)
+        assert ac.witness_parameter(family, 1.0, epsilon) == full
         # the walk fits in these budgets; the bisection then runs out
         for max_steps in (walk, steps - 1):
+            monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", max_steps)
             with pytest.raises(SearchError, match=f"exceeded {max_steps} steps"):
-                ac.witness_parameter(family, 1.0, epsilon, max_steps=max_steps)
+                ac.witness_parameter(family, 1.0, epsilon)
 
     def test_ray_descriptions_exist_for_all_nine(self):
         for family in ac.ZERO_INFIMUM_FAMILIES:

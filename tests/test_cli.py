@@ -5,8 +5,8 @@ import json
 import mpmath
 import pytest
 
-from anticonc import cli, verify
-from anticonc.errors import DomainError
+from anticonc import cli, distributions, verify
+from anticonc.errors import ConvergenceError, DomainError, InternalError
 
 GOLDEN_UNIFORM_CSV = (
     "y,value,family,detail\n"
@@ -215,6 +215,17 @@ class TestTail:
         assert code == 0
         assert json.loads(out)["probability"] == pytest.approx(1.5205831474484516e-22,
                                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, InternalError])
+def test_a_computation_error_is_one_line_with_exit_one(capsys, monkeypatch, error):
+    def fail(ps, y):
+        raise error("the series stalled")
+
+    monkeypatch.setattr(distributions, "tail_probability", fail)
+    code, out, err = run(capsys, "tail", "--family", "poisson",
+                         "--params", '{"lambda": 4.0}', "--y", "1")
+    assert (code, out, err) == (1, "", "error: the series stalled\n")
 
 
 def assert_true_tail_at_one(code, out, err, family):

@@ -71,6 +71,42 @@ def test_an_int_y_is_checked_and_typed_like_its_float_twin(name):
     assert repr(fn(2)) == repr(fn(2.0))
 
 
+# every public scalar argument that is a number: the call with it, and its name
+SCALAR_ARGUMENTS = {
+    "cdf-x": (lambda v: ac.cdf(ac.gaussian(0.0, 1.0), v), "x"),
+    "student_t_cdf-n": (lambda v: ac.student_t_cdf(v, 0.5), "n"),
+    "student_t_cdf-x": (lambda v: ac.student_t_cdf(3, v), "x"),
+    "quad_student_cdf-n": (lambda v: ac.quad_student_cdf(v, 0.5), "n"),
+    "quad_student_cdf-x": (lambda v: ac.quad_student_cdf(3, v), "x"),
+    "inner_probability-n": (lambda v: ac.inner_probability(v, 0.5), "n"),
+    "inner_probability-y": (lambda v: ac.inner_probability(3, v), "y"),
+    "cutoff_dof-y": (ac.cutoff_dof, "y"),
+    "a_exponential-y": (ac.a_exponential, "y"),
+    "a_gaussian-y": (ac.a_gaussian, "y"),
+    "a_student_t-y": (ac.a_student_t, "y"),
+    **{f"{name}-y": (fn, "y") for name, fn in Y_ENTRY_POINTS.items()},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, "1"],
+                         ids=["nan", "inf", "-inf", "int-past-a-double", "bool", "str"])
+@pytest.mark.parametrize("argument", sorted(SCALAR_ARGUMENTS))
+def test_a_scalar_argument_that_is_not_a_number_is_refused(argument, value):
+    # an int or float, not a bool, within a double: no OverflowError or
+    # TypeError escapes, and True is not taken for 1
+    fn, name = SCALAR_ARGUMENTS[argument]
+    with pytest.raises(DomainError, match=rf"^{name} must be "):
+        fn(value)
+
+
+# a degrees-of-freedom count n is an int; every real argument accepts 0.5
+@pytest.mark.parametrize("argument", sorted(a for a, (_, name) in SCALAR_ARGUMENTS.items()
+                                            if name != "n"))
+def test_a_numpy_float64_argument_is_its_float(argument):
+    fn, _ = SCALAR_ARGUMENTS[argument]
+    assert repr(fn(np.float64(0.5))) == repr(fn(0.5))
+
+
 class TestValidate:
     def test_ok_uniform(self):
         assert ac.validate(ac.uniform(0.0, 1.0)) == []
@@ -131,6 +167,10 @@ class TestMoments:
     def test_student_t(self):
         m = ac.moments(ac.student_t(4))
         assert (m.mean, m.variance) == (0.0, 2.0)
+
+    def test_uniform_mean_near_a_double_edge(self):
+        # (a + b) / 2 overflows to inf; the variance does overflow
+        assert ac.moments(ac.uniform(1e308, 1.7e308)) == ac.Moments(1.35e308, math.inf)
 
     def test_hypergeometric_two_point(self):
         m = ac.moments(ac.hypergeometric(9, 10, 1))
