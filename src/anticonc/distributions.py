@@ -21,6 +21,7 @@ exactly y standard deviations from the mean belongs to the tail.
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ import numpy as np
 
 from .errors import DomainError, InternalError
 from .specfun import (
+    _DOUBLE_MAX,
+    _is_number,
     clamp_probability,
     gauss_2f1,
     log_gamma,
@@ -93,17 +96,6 @@ def _as_family(family: Union[FamilyId, str]) -> FamilyId:
     except ValueError:
         known = ", ".join(f.value for f in FamilyId)
         raise DomainError(f"unknown family {family!r}; expected one of: {known}") from None
-
-
-_DOUBLE_MAX = sys.float_info.max
-
-
-def _is_number(v) -> bool:
-    """The one rule for a number argument or parameter: a float (numpy's
-    float64 is one) or an int that is not a bool, within a double.  nan and
-    inf fail the comparison, and an int past a double compares exactly where
-    math.isfinite would raise OverflowError."""
-    return (isinstance(v, float) or type(v) is int) and abs(v) <= _DOUBLE_MAX
 
 
 def _check_y(y: float, name: str = "y") -> float:
@@ -337,7 +329,10 @@ class Family:
     integer support and log-pmf, plus, when the support is unbounded
     above, a bound on the pmf ratio that ends the sum.  Each function
     sees the parameters typed once: integer fields as int, the rest as
-    float.
+    float.  `sample_blocks` hands out sample's draws in blocks; a
+    sampler that does not draw variate by variate (Student's t draws
+    all its normals first) gives its own blockwise form as
+    `split_sample`.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the
@@ -366,6 +361,21 @@ class Family:
     support: Optional[Callable[[_Params], tuple[int, Optional[int]]]] = None  # kmax None: no end
     log_pmf: Optional[Callable[[_Params, int], float]] = None
     ratio_bound: Optional[Callable[[_Params, int], float]] = None  # >= pmf(j+1)/pmf(j), j >= k
+    split_sample: Optional[Callable] = None  # sample_blocks, where sample is not variate by variate
+
+    def sample_blocks(self, p: _Params, rng: np.random.Generator, n: int, block: int):
+        """The n variates of sample(p, rng, n), bit for bit, in arrays of at most block.
+
+        Once every block is drawn, rng is where the one array would leave it.
+        """
+        if self.split_sample is not None:
+            return self.split_sample(p, rng, n, block)
+        return (self.sample(p, rng, size) for size in _block_sizes(n, block))
+
+
+def _block_sizes(n: int, block: int) -> list[int]:
+    """n split into runs of block, the last one shorter."""
+    return [block] * (n // block) + ([n % block] if n % block else [])
 
 
 def _require(*rules):
@@ -473,6 +483,21 @@ def _t_sample(p: _Params, rng: np.random.Generator, size):
     return z / np.sqrt(v / n)
 
 
+def _t_sample_blocks(p: _Params, rng: np.random.Generator, size: int, block: int):
+    """_t_sample(p, rng, size) in blocks.  It draws all its normals before any
+    chi-square, so the chi-squares come from a twin of rng that has first
+    drawn and dropped the size normals."""
+    n = p["n"]
+    twin = copy.deepcopy(rng)
+    for b in _block_sizes(size, block):
+        twin.standard_normal(b)
+    for b in _block_sizes(size, block):
+        z = rng.standard_normal(b)
+        v = twin.chisquare(n, b)
+        yield z / np.sqrt(v / n)
+    rng.bit_generator.state = twin.bit_generator.state
+
+
 def _binomial_moments(p: _Params) -> Moments:
     n, pr = p["n"], p["p"]
     return Moments(n * pr, n * pr * (1.0 - pr))
@@ -577,7 +602,11 @@ def _lognormal_cdf_at_log(p: _Params, u: float) -> float:
 def _beta_moments(p: _Params) -> Moments:
     pp, qq = p["p"], p["q"]
     s = pp + qq
-    return Moments(pp / s, pp * qq / (s * s * (s + 1.0)))
+    num, den = pp * qq, s * s * (s + 1.0)
+    if not (num >= sys.float_info.min and den < math.inf):
+        # a product left a double's normal range: scale p and q by s first
+        num, den = (pp / s) * (qq / s), s + 1.0
+    return Moments(pp / s, num / den)
 
 
 def _beta_cdf(p: _Params, x: float) -> float:
@@ -632,7 +661,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
         moments=lambda p: Moments(0.0, p["n"] / (p["n"] - 2.0)),
         method="special-function", abs_error_bound=1e-12,
-        sample=_t_sample, panel=student_t(5),
+        sample=_t_sample, split_sample=_t_sample_blocks, panel=student_t(5),
         grid=GridSpec({"n": GridAxis(3, 400, 398, "linear", integer=True)}),
         cdf=lambda p, x: student_t_cdf(p["n"], x),
         survival=lambda p, x: student_t_cdf(p["n"], -x)),

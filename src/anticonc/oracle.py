@@ -4,7 +4,9 @@ Nothing here shares code with the closed forms it checks: the quadrature
 oracle integrates the Student's-t density with scipy's adaptive QUADPACK
 rules (scipy's log-gamma, not ours), the Monte Carlo oracle estimates
 tails from seeded PCG64 streams, and the grid oracle brute-forces the
-parameter infimum that the closed forms claim to attain.  Its grid types
+parameter infimum that the closed forms claim to attain.  The Monte Carlo
+oracle draws and counts its stream in blocks of 2**16 variates, so its
+memory is constant in the number of draws.  Its grid types
 `GridAxis` and `GridSpec`, and each family's default grid, live with the
 family records in `distributions`; `_complete_point` below is the rule
 that turns a grid's derived axes into the family's own parameters.
@@ -56,6 +58,10 @@ __all__ = [
 # absolute tolerance of the quadrature oracles; an error estimate past 100x fails
 _QUAD_TOL = 1e-12
 
+# mc_tail draws and counts at most this many variates at a time, so its memory
+# does not grow with n_samples
+_MC_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -72,16 +78,22 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 
 def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
-    """Empirical fraction of |X - mu| >= y*sigma over a seeded PCG64 stream."""
+    """Empirical fraction of |X - mu| >= y*sigma over a seeded PCG64 stream.
+
+    The n_samples draws (an int from 1000 to 10**9) are made and counted
+    2**16 at a time, so memory stays constant whatever n_samples is.  The
+    count is the one a single array of n_samples draws gives, bit for bit.
+    """
     law, p = _valid_law(ps)
-    if not (isinstance(n_samples, int) and n_samples >= 1000):
-        raise DomainError(f"mc_tail requires n_samples >= 1000, got {n_samples!r}")
+    if not (type(n_samples) is int and 1000 <= n_samples <= 10**9):
+        raise DomainError(f"mc_tail requires an integer n_samples from 1000 to 10**9, "
+                          f"got {n_samples!r}")
     y = _check_y(y)
     m = law.moments(p)
     sd = _tail_sd(ps.family, m)
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = law.sample(p, rng, n_samples)
-    hits = np.count_nonzero(np.abs(draws - m.mean) >= y * sd)
+    hits = sum(np.count_nonzero(np.abs(draws - m.mean) >= y * sd)
+               for draws in law.sample_blocks(p, rng, n_samples, _MC_BLOCK))
     est = hits / n_samples
     std_err = math.sqrt(est * (1.0 - est) / n_samples)
     return McEstimate(estimate=est, std_err=std_err, n_samples=n_samples, seed=seed)

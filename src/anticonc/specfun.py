@@ -13,6 +13,7 @@ against independent oracles.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 from .errors import ConvergenceError, DomainError, InternalError
@@ -36,6 +37,7 @@ _SERIES_MAX_TERMS = 10**6
 _CLAMP_TOL = 1e-9
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_DOUBLE_MAX = sys.float_info.max
 
 # Lanczos rational approximation, g = 7, 9 terms: ~1e-15 absolute accuracy
 # in ln(gamma) over the positive axis.
@@ -52,6 +54,14 @@ _LANCZOS = (
 )
 
 
+def _is_number(v) -> bool:
+    """The one rule for a number argument or parameter: a float (numpy's
+    float64 is one) or an int that is not a bool, within a double.  nan and
+    inf fail the comparison, and an int past a double compares exactly where
+    math.isfinite would raise OverflowError."""
+    return (isinstance(v, float) or type(v) is int) and abs(v) <= _DOUBLE_MAX
+
+
 def clamp_probability(p: float, *, context: str = "") -> float:
     """Clamp p to [0, 1]; an excursion beyond _CLAMP_TOL is an internal error."""
     if p < -_CLAMP_TOL or p > 1.0 + _CLAMP_TOL:
@@ -66,7 +76,7 @@ def log_gamma(x: float) -> float:
     Lanczos approximation with reflection below 0.5; relative error is
     below 1e-13 across [1e-6, 1e6].
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+    if not _is_number(x):
         raise DomainError(f"log_gamma requires a finite real, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
@@ -160,9 +170,9 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
     Power series for x < a + 1, Lentz continued fraction for the upper
     tail otherwise; absolute error below 1e-12.
     """
-    if not (math.isfinite(a) and a > 0.0):
+    if not (_is_number(a) and a > 0.0):
         raise DomainError(f"reg_inc_gamma_lower requires a > 0, got a={a!r}")
-    if not (math.isfinite(x) and x >= 0.0):
+    if not (_is_number(x) and x >= 0.0):
         raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got x={x!r}")
     if x == 0.0:
         return 0.0
@@ -253,9 +263,9 @@ def reg_inc_beta(x: float, a: float, b: float, *, log_front: Optional[float] = N
     x and three log_gamma values; a caller that knows it more accurately
     (from an exact 1 - x, or a stable log B) passes it in.
     """
-    if not (math.isfinite(a) and a > 0.0 and math.isfinite(b) and b > 0.0):
+    if not (_is_number(a) and a > 0.0 and _is_number(b) and b > 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    if not (math.isfinite(x) and 0.0 <= x <= 1.0):
+    if not (_is_number(x) and 0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got x={x!r}")
     if x == 0.0:
         return 0.0
@@ -264,6 +274,10 @@ def reg_inc_beta(x: float, a: float, b: float, *, log_front: Optional[float] = N
     if log_front is None:
         log_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
                      + a * math.log(x) + b * math.log1p(-x))
+    if log_front > 709.0:
+        # no true front factor comes near e^709: the log-gamma terms cancelled
+        raise ConvergenceError(f"incomplete-beta front factor e^{log_front} overflows a double "
+                               f"(a={a}, b={b}, x={x})")
     bt = math.exp(log_front) if log_front > -745.0 else 0.0
     if x < (a + 1.0) / (a + b + 2.0):
         p = bt * _beta_cf(a, b, x) / a
@@ -274,6 +288,6 @@ def reg_inc_beta(x: float, a: float, b: float, *, log_front: Optional[float] = N
 
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
-    if not math.isfinite(x):
+    if not _is_number(x):
         raise DomainError(f"std_normal_cdf requires a finite real, got {x!r}")
     return 0.5 * math.erfc(-x / math.sqrt(2.0))

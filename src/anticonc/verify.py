@@ -382,6 +382,6 @@ SUITES = tuple(_SUITE_CHECKS)
 def run_suite(name: str, seed: int) -> list[CheckResult]:
     if name not in _SUITE_CHECKS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if not (type(seed) is int and 0 <= seed < 2**64):
         raise DomainError(f"seed must be a 64-bit integer, got {seed}")
     return [result for check in _SUITE_CHECKS[name] for result in check(seed)]

@@ -15,7 +15,7 @@ from scipy import stats
 
 import anticonc as ac
 from anticonc import FamilyId, ParamSet
-from anticonc.errors import DomainError
+from anticonc.errors import ConvergenceError, DomainError
 
 
 def rng_from(seed):
@@ -46,11 +46,12 @@ def tail_at_50_digits(ps, y):
 
 
 def outcome(fn, *args):
-    """The repr of fn(*args), or the message of the DomainError it raises."""
+    """The repr of fn(*args), or the message of the DomainError or
+    ConvergenceError it raises."""
     try:
         return repr(fn(*args))
-    except DomainError as exc:
-        return f"DomainError: {exc}"
+    except (DomainError, ConvergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 # each entry point that takes a standardized distance y, at a law it accepts
@@ -221,7 +222,7 @@ class TestMoments:
         (ac.exponential(10**300), ac.exponential(1e300), 0.0),
         (ac.gamma_family(10**200, 10**200), ac.gamma_family(1e200, 1e200), math.inf),
         (ac.pareto(4, 10**200), ac.pareto(4.0, 1e200), math.inf),
-        (ac.beta_family(10**200, 10**200), ac.beta_family(1e200, 1e200), math.nan),
+        (ac.beta_family(10**200, 10**200), ac.beta_family(1e200, 1e200), 1.25e-201),
         (ac.uniform(10**308, 17 * 10**307), ac.uniform(1e308, 1.7e308), math.inf),
     ])
     def test_int_parameters_square_like_their_float_twins(self, ps, twin, variance):
@@ -229,6 +230,19 @@ class TestMoments:
         assert repr(ac.moments(ps)) == repr(ac.moments(twin))
         assert repr(ac.moments(ps).variance) == repr(variance)
         assert outcome(ac.tail_probability, ps, 1.0) == outcome(ac.tail_probability, twin, 1.0)
+
+    @pytest.mark.parametrize("p,q", [(1e200, 1e200), (1e110, 1.0), (1.0, 3e150),
+                                     (1e-200, 1e-200), (1e-170, 2e-160)])
+    def test_beta_variance_where_the_direct_products_leave_a_double(self, p, q):
+        with mpmath.workdps(50):
+            mp, mq = mpmath.mpf(p), mpmath.mpf(q)
+            want = float(mp * mq / ((mp + mq) ** 2 * (mp + mq + 1)))
+        assert ac.moments(ac.beta_family(p, q)).variance == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("p,q", [(2.0, 5.0), (1.0, 1e-6), (1e6, 3.0), (0.3, 0.3)])
+    def test_ordinary_beta_variance_keeps_the_direct_formula(self, p, q):
+        s = p + q
+        assert ac.moments(ac.beta_family(p, q)).variance == p * q / (s * s * (s + 1.0))
 
     def test_neg_binomial_variance_past_the_underflow_of_p_squared(self):
         # p*p underflows to 0 below p ~ 1e-162; r(1-p)/p^2 must not divide by it

@@ -5,14 +5,29 @@ import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anticonc as ac
 from anticonc import GridAxis, GridSpec
-from anticonc.distributions import _FAMILIES
+from anticonc.distributions import _FAMILIES, Family, _valid_law
 from anticonc.errors import DomainError
+
+PANEL_LAWS = [law.panel for law in _FAMILIES.values()]
+# a point two steps along each of the nine witness rays
+RAY_LAWS = [law.ray.build(law.ray.step(law.ray.step(law.ray.start)))
+            for law in _FAMILIES.values() if law.ray is not None]
+
+
+def one_array_estimate(ps, y, n, seed):
+    """The fraction of one array of n draws from a fresh PCG64(seed) stream."""
+    law, p = _valid_law(ps)
+    m = law.moments(p)
+    draws = law.sample(p, np.random.Generator(np.random.PCG64(seed)), n)
+    return np.count_nonzero(np.abs(draws - m.mean) >= y * math.sqrt(m.variance)) / n
 
 
 class TestMcTail:
@@ -42,6 +57,43 @@ class TestMcTail:
     def test_requires_enough_samples(self):
         with pytest.raises(DomainError):
             ac.mc_tail(ac.gaussian(0, 1), 1.0, 999, seed=1)
+
+    @pytest.mark.parametrize("n", [10**19, 10**9 + 1, True, 1e6, np.int64(10**6)],
+                             ids=["1e19", "1e9+1", "bool", "float", "numpy-int"])
+    def test_refuses_a_count_that_is_not_an_int_from_1000_to_1e9(self, n, monkeypatch):
+        monkeypatch.setattr(Family, "sample_blocks", None)  # nothing may be drawn
+        with pytest.raises(DomainError, match=r"n_samples from 1000 to 10\*\*9"):
+            ac.mc_tail(ac.gaussian(0, 1), 1.0, n, seed=1)
+
+    @pytest.mark.parametrize("ps", PANEL_LAWS + RAY_LAWS,
+                             ids=[f"{ps.family.value}-{i}" for i, ps
+                                  in enumerate(PANEL_LAWS + RAY_LAWS)])
+    def test_blocks_count_what_one_array_counts(self, ps):
+        # block edges at 2**16: none, exactly one block, one past it, and many
+        for n in (1000, 65536, 65537, 10**6):
+            for seed in (3, 41, 2**63 + 5):
+                est = ac.mc_tail(ps, 1.0, n, seed)
+                assert est.estimate == one_array_estimate(ps, 1.0, n, seed)
+
+    @pytest.mark.parametrize("ps", PANEL_LAWS, ids=[ps.family.value for ps in PANEL_LAWS])
+    def test_memory_does_not_grow_with_the_draws(self, ps):
+        # one array of 10**6 draws of t(5) peaked at 31.2 MiB
+        tracemalloc.start()
+        try:
+            ac.mc_tail(ps, 1.0, 10**6, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("ps", PANEL_LAWS, ids=[ps.family.value for ps in PANEL_LAWS])
+    def test_sample_blocks_replay_one_array_and_its_end_state(self, ps):
+        law, p = _valid_law(ps)
+        one, split = (np.random.Generator(np.random.PCG64(9)) for _ in range(2))
+        want = law.sample(p, one, 1000)
+        got = np.concatenate(list(law.sample_blocks(p, split, 1000, 300)))
+        assert np.array_equal(got, want)
+        assert split.bit_generator.state == one.bit_generator.state
 
     def test_rejects_invalid_params(self):
         with pytest.raises(DomainError):

@@ -205,6 +205,11 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 1.0)
 
+    def test_a_front_factor_lost_to_cancellation_is_refused(self):
+        # at a = b = 1e100 the three log_gamma terms cancel into a front of e^1.8e86
+        with pytest.raises(ConvergenceError, match="front factor"):
+            reg_inc_beta(0.5, 1e100, 1e100)
+
 
 class TestStdNormalCdf:
     def test_symmetry_at_zero(self):
@@ -221,6 +226,34 @@ class TestStdNormalCdf:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             std_normal_cdf(math.inf)
+
+
+# every argument the kernels check: the call with it
+KERNEL_ARGUMENTS = {
+    "log_gamma-x": log_gamma,
+    "reg_inc_gamma_lower-a": lambda v: reg_inc_gamma_lower(v, 1.0),
+    "reg_inc_gamma_lower-x": lambda v: reg_inc_gamma_lower(2.0, v),
+    "reg_inc_beta-x": lambda v: reg_inc_beta(v, 2.0, 3.0),
+    "reg_inc_beta-a": lambda v: reg_inc_beta(0.5, v, 3.0),
+    "reg_inc_beta-b": lambda v: reg_inc_beta(0.5, 2.0, v),
+    "std_normal_cdf-x": std_normal_cdf,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, True, "1"],
+                         ids=["nan", "inf", "-inf", "int-past-a-double", "bool", "str"])
+@pytest.mark.parametrize("argument", sorted(KERNEL_ARGUMENTS))
+def test_a_kernel_argument_that_is_not_a_number_is_refused(argument, value):
+    # the package's one rule for a number: no OverflowError or TypeError
+    # escapes, and True is not taken for 1
+    with pytest.raises(DomainError):
+        KERNEL_ARGUMENTS[argument](value)
+
+
+@pytest.mark.parametrize("argument", sorted(KERNEL_ARGUMENTS))
+def test_a_numpy_float64_kernel_argument_is_its_float(argument):
+    fn = KERNEL_ARGUMENTS[argument]
+    assert fn(np.float64(0.5)) == fn(0.5)
 
 
 def test_probability_clamp_guard():
