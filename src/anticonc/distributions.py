@@ -622,6 +622,9 @@ def _beta_survival(p: _Params, x: float) -> float:
         return 1.0
     if x >= 1.0:
         return 0.0
+    if 1.0 - x == 1.0:
+        # x is lost in 1 - x: complement the lower tail instead
+        return 1.0 - reg_inc_beta(x, p["p"], p["q"])
     return reg_inc_beta(1.0 - x, p["q"], p["p"])
 
 
@@ -905,7 +908,9 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     cdf(mu - y*sigma) + P(X >= mu + y*sigma); the boundary has measure
     zero.  Discrete families: one minus the pmf sum over integers
     strictly inside (mu - y*sigma, mu + y*sigma), so lattice points at
-    exactly y standard deviations count toward the tail.
+    exactly y standard deviations count toward the tail.  Where
+    mu -/+ y*sigma round onto mu, no tail can be placed and DomainError
+    is raised.
     """
     law, p = _valid_law(ps)
     y = _check_y(y)
@@ -924,6 +929,9 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
         # variance keeps sigma <= 1.35e154, so y > 7.4e137 and by Chebyshev
         # the tail is below 1/y^2 < 2e-276, under every family's bound
         return TailResult(0.0, law.method, law.abs_error_bound)
+    if not lo < m.mean < hi:
+        raise DomainError(f"{ps.family.value} y*sigma = {y * sd!r} is lost in rounding the mean "
+                          f"{m.mean!r}, so no tail can be placed around it")
 
     if law.log_pmf is not None:
         kmin, kmax = law.support(p)

@@ -205,10 +205,14 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 1.0)
 
-    def test_a_front_factor_lost_to_cancellation_is_refused(self):
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_a_front_factor_from_log_gamma_is_refused_past_a_plus_b_1e6(self, x):
         # at a = b = 1e100 the three log_gamma terms cancel into a front of e^1.8e86
-        with pytest.raises(ConvergenceError, match="front factor"):
-            reg_inc_beta(0.5, 1e100, 1e100)
+        with pytest.raises(DomainError, match=r"only for a \+ b <= 1e\+06, got a=1e\+100"):
+            reg_inc_beta(x, 1e100, 1e100)
+
+    def test_a_plus_b_of_1e6_still_takes_its_front_from_log_gamma(self):
+        assert reg_inc_beta(0.5, 5e5, 5e5) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestStdNormalCdf:
