@@ -13,6 +13,8 @@ printed for these.
 `verify --seed` sets the master seed of the Monte Carlo checks.
 CSV output is deterministic byte-for-byte for fixed flags: floats are
 printed with round-trip %.17g formatting.
+numpy loads only in the commands that use it (`curve` for its y grid,
+`verify`); `tail` and `witness` run on `math` and `specfun` alone.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import anticoncentration as anti
 from . import distributions as dist
@@ -65,6 +65,7 @@ def cmd_curve(args) -> int:
             f"{anti.STUDENT_T_Y_MAX!r}; rerun with --numeric-fallback to get an "
             "explicitly-labeled grid-search value beyond it")
 
+    import numpy as np
     rows = []
     for y in np.linspace(args.y_min, args.y_max, args.steps):
         value, detail_s, detail_j = _curve_row(family, float(y))

@@ -26,9 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 from .errors import DomainError, InternalError
 from .specfun import (
@@ -42,6 +40,9 @@ from .specfun import (
     reg_inc_gamma_lower,
     std_normal_cdf,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FamilyId",
@@ -242,6 +243,7 @@ class GridAxis:
             raise DomainError("logarithmic axis requires lo > 0")
 
     def values(self) -> np.ndarray:
+        import numpy as np
         if self.scale == "logarithmic":
             vals = np.geomspace(self.lo, self.hi, self.points)
         else:
@@ -426,7 +428,7 @@ def _log_binom_coeff(n: int, k: int) -> float:
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
 
 
-# the parts of the records below too long for a lambda, in table order
+# the parts of the records below too long for a lambda or needing an import, in table order
 
 def _uniform_cdf(p: _Params, x: float) -> float:
     a, b = p["a"], p["b"]
@@ -435,6 +437,11 @@ def _uniform_cdf(p: _Params, x: float) -> float:
     if x >= b:
         return 1.0
     return (x - a) / (b - a)
+
+
+def _exponential_sample(p: _Params, rng: np.random.Generator, size):
+    import numpy as np
+    return -np.log1p(-rng.random(size)) / p["lambda"]
 
 
 # x^2 past which student_t_cdf takes the tail from the incomplete beta.  Every
@@ -477,6 +484,7 @@ def student_t_cdf(n: int, x: float) -> float:
 
 
 def _t_sample(p: _Params, rng: np.random.Generator, size):
+    import numpy as np
     n = p["n"]
     z = rng.standard_normal(size)
     v = rng.chisquare(n, size)
@@ -487,6 +495,7 @@ def _t_sample_blocks(p: _Params, rng: np.random.Generator, size: int, block: int
     """_t_sample(p, rng, size) in blocks.  It draws all its normals before any
     chi-square, so the chi-squares come from a twin of rng that has first
     drawn and dropped the size normals."""
+    import numpy as np
     n = p["n"]
     twin = copy.deepcopy(rng)
     for b in _block_sizes(size, block):
@@ -588,6 +597,10 @@ def _weibull_survival_at_log(p: _Params, u: float) -> float:
     return math.exp(-p["lambda"] * math.exp(e)) if e < 709.0 else 0.0
 
 
+def _weibull_sample(p: _Params, rng: np.random.Generator, size):
+    return _exponential_sample(p, rng, size) ** (1.0 / p["alpha"])
+
+
 def _lognormal_log_moments(p: _Params) -> tuple[float, float]:
     s2 = p["sigma"] * p["sigma"]
     log_mean = p["alpha"] + 0.5 * s2
@@ -597,6 +610,11 @@ def _lognormal_log_moments(p: _Params) -> tuple[float, float]:
 
 def _lognormal_cdf_at_log(p: _Params, u: float) -> float:
     return std_normal_cdf((u - p["alpha"]) / p["sigma"])
+
+
+def _lognormal_sample(p: _Params, rng: np.random.Generator, size):
+    import numpy as np
+    return np.exp(p["alpha"] + p["sigma"] * rng.standard_normal(size))
 
 
 def _beta_moments(p: _Params) -> Moments:
@@ -642,7 +660,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(1.0 / p["lambda"], _over_square(1.0, p["lambda"])),
         method="closed-form", abs_error_bound=1e-14,
-        sample=lambda p, rng, size: -np.log1p(-rng.random(size)) / p["lambda"],
+        sample=_exponential_sample,
         panel=exponential(1.3),
         grid=GridSpec({"lambda": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
         cdf=lambda p, x: -math.expm1(-p["lambda"] * x) if x > 0.0 else 0.0,
@@ -736,8 +754,7 @@ _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.WEIBULL: Family(
         fields=("alpha", "lambda"), check=_positive("alpha", "lambda"),
         moments=_exp_moments(_weibull_log_moments), method="closed-form", abs_error_bound=1e-13,
-        sample=lambda p, rng, size: ((-np.log1p(-rng.random(size)) / p["lambda"])
-                                     ** (1.0 / p["alpha"])),
+        sample=_weibull_sample,
         panel=weibull(1.7, 0.8),
         grid=GridSpec({"alpha": GridAxis(1e-3, 1e2, 120, "logarithmic")}, {"lambda": 1.0}),
         ray=_Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0"),
@@ -748,7 +765,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         fields=("alpha", "sigma"), check=_positive("sigma"),
         moments=_exp_moments(_lognormal_log_moments),
         method="special-function", abs_error_bound=1e-13,
-        sample=lambda p, rng, size: np.exp(p["alpha"] + p["sigma"] * rng.standard_normal(size)),
+        sample=_lognormal_sample,
         panel=log_normal(0.2, 0.6),
         grid=GridSpec({"sigma": GridAxis(0.1, 30.0, 120, "logarithmic")}, {"alpha": 0.0}),
         ray=_Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity"),

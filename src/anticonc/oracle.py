@@ -11,9 +11,12 @@ memory is constant in the number of draws.  Its grid types
 family records in `distributions`; `_complete_point` below is the rule
 that turns a grid's derived axes into the family's own parameters.
 
-scipy is imported on the first quadrature call, not with this module:
-it takes most of a second to load, and nothing else in the package
-needs it.
+numpy and scipy load on first use, not with this module.  numpy is
+imported by the first call that draws a sample, derives seeds or spans a
+grid; scipy by the first quadrature call.  So `anticonc tail` and
+`anticonc witness`, whose answers are closed forms and exact tails, load
+neither; `anticonc curve` loads numpy for its y grid, and `anticonc
+verify` loads both.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .distributions import (
     FamilyId,
@@ -71,8 +72,18 @@ class McEstimate:
     seed: int
 
 
+def _check_seed(seed: int) -> None:
+    """The one seed rule: an int, not a bool, from 0 to 2**64 - 1."""
+    if not (type(seed) is int and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be a 64-bit integer, got {seed}")
+
+
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Deterministic child seeds, one per task, from a 64-bit master seed."""
+    _check_seed(master_seed)
+    if not (type(count) is int and count >= 0):
+        raise DomainError(f"derive_seeds requires an integer count >= 0, got {count!r}")
+    import numpy as np
     state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
 
@@ -88,9 +99,11 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     if not (type(n_samples) is int and 1000 <= n_samples <= 10**9):
         raise DomainError(f"mc_tail requires an integer n_samples from 1000 to 10**9, "
                           f"got {n_samples!r}")
+    _check_seed(seed)
     y = _check_y(y)
     m = law.moments(p)
     sd = _tail_sd(ps.family, m)
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = sum(np.count_nonzero(np.abs(draws - m.mean) >= y * sd)
                for draws in law.sample_blocks(p, rng, n_samples, _MC_BLOCK))
@@ -176,13 +189,12 @@ def grid_infimum(family: Union[FamilyId, str], y: float, grid: GridSpec) -> Infi
     """
     family = _as_family(family)
     names = sorted(grid.axes)
-    value_lists = [grid.axes[name].values() for name in names]
+    value_lists = [grid.axes[name].values().tolist() for name in names]
     best: Optional[float] = None
     best_ps: Optional[ParamSet] = None
     for combo in itertools.product(*value_lists):
         point = dict(grid.fixed)
-        point.update({name: (int(v) if isinstance(v, (np.integer, int)) else float(v))
-                      for name, v in zip(names, combo)})
+        point.update(zip(names, combo))
         ps = ParamSet(family, _complete_point(family, point))
         problems = validate(ps)
         if problems:

@@ -13,21 +13,25 @@ the Gaussian and t-CDF quadratures (3, 4), the Student's-t scan (4), its
 {3, 4} fast path (5), the cutoff values and sequence (6), the witnesses
 (7), and the 2F1 reduction, the contiguous relation and the
 incomplete-beta duality (8).
+
+numpy is imported by the checks that use it, not with this module, so
+the CLI parser, which reads SUITES and MASTER_SEED, loads none.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import anticoncentration as anti
 from . import distributions as dist
 from . import oracle
 from .distributions import FamilyId
-from .errors import DomainError
 from .specfun import gauss_2f1, log_gamma, reg_inc_beta, reg_inc_gamma_lower, std_normal_cdf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CheckResult", "SUITES", "MASTER_SEED", "run_suite"]
 
@@ -88,6 +92,7 @@ def contiguous_relation(seed: int) -> list[CheckResult]:
 
 
 def twof1_symmetry(seed: int) -> list[CheckResult]:
+    import numpy as np
     worst = 0.0
     for a, b, c in ((0.5, 2.5, 1.75), (1.2, 3.4, 2.2), (0.3, 0.9, 4.0)):
         for z in np.linspace(-8.0, 0.0, 17):
@@ -98,6 +103,7 @@ def twof1_symmetry(seed: int) -> list[CheckResult]:
 
 
 def beta_duality(seed: int) -> list[CheckResult]:
+    import numpy as np
     worst = 0.0
     xs = [float(x) for points in (25, 30) for x in np.linspace(0.01, 0.99, points)]
     for a, b in ((0.5, 0.5), (2.0, 3.0), (0.1, 7.0)):
@@ -108,6 +114,7 @@ def beta_duality(seed: int) -> list[CheckResult]:
 
 
 def incomplete_monotone(seed: int) -> list[CheckResult]:
+    import numpy as np
     mono_ok = True
     for a in (0.5, 1.0, 3.0):
         vals = [reg_inc_gamma_lower(a, x) for x in np.linspace(0.0, 12.0, 60)]
@@ -150,6 +157,7 @@ def _tail_by_cdf(ps: dist.ParamSet, y: float) -> float:
 
 def tails_attain_bound(seed: int) -> list[CheckResult]:
     """The infimum is attained at every parameter point of these three families."""
+    import numpy as np
     out: list[CheckResult] = []
     rng = np.random.Generator(np.random.PCG64(oracle.derive_seeds(seed, 1)[0]))
     for family in (FamilyId.UNIFORM, FamilyId.EXPONENTIAL, FamilyId.GAUSSIAN):
@@ -192,6 +200,7 @@ def student_t_scan(seed: int) -> list[CheckResult]:
 
 
 def student_t_fast_path(seed: int) -> list[CheckResult]:
+    import numpy as np
     worst = 0.0
     for y in np.linspace(0.1, 1.0, 10):
         y = float(y)
@@ -214,6 +223,7 @@ def uniform_grid_infimum(seed: int) -> list[CheckResult]:
 
 
 def exponential_rate_invariance(seed: int) -> list[CheckResult]:
+    import numpy as np
     tails = [_tail_by_cdf(dist.exponential(float(lam)), 1.0)
              for rates in (50, 100) for lam in np.geomspace(1e-2, 1e2, rates)]
     return [CheckResult("closed-forms", "exponential tail is rate-invariant",
@@ -296,6 +306,7 @@ def mc_panel(seed: int) -> list[CheckResult]:
 
 
 def tails_nonincreasing(seed: int) -> list[CheckResult]:
+    import numpy as np
     ok_mono = True
     for law in dist._FAMILIES.values():
         tails = [dist.tail_probability(law.panel, y).probability
@@ -305,6 +316,7 @@ def tails_nonincreasing(seed: int) -> list[CheckResult]:
 
 
 def cdf_nondecreasing(seed: int) -> list[CheckResult]:
+    import numpy as np
     ok_cdf = True
     for law in dist._FAMILIES.values():
         m = dist.moments(law.panel)
@@ -319,6 +331,7 @@ def cdf_nondecreasing(seed: int) -> list[CheckResult]:
 
 
 def sampler_moments(seed: int) -> list[CheckResult]:
+    import numpy as np
     seeds = oracle.derive_seeds(seed ^ 0xA11CE, len(MOMENTS_PANEL))
     ok_mom = True
     detail = ""
@@ -382,6 +395,5 @@ SUITES = tuple(_SUITE_CHECKS)
 def run_suite(name: str, seed: int) -> list[CheckResult]:
     if name not in _SUITE_CHECKS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES} or 'all'")
-    if not (type(seed) is int and 0 <= seed < 2**64):
-        raise DomainError(f"seed must be a 64-bit integer, got {seed}")
+    oracle._check_seed(seed)
     return [result for check in _SUITE_CHECKS[name] for result in check(seed)]

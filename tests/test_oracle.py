@@ -65,6 +65,21 @@ class TestMcTail:
         with pytest.raises(DomainError, match=r"n_samples from 1000 to 10\*\*9"):
             ac.mc_tail(ac.gaussian(0, 1), 1.0, n, seed=1)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, 2**64, 2**130],
+                             ids=["bool", "-1", "float", "2**64", "2**130"])
+    def test_refuses_a_seed_that_is_not_a_64_bit_int(self, seed, monkeypatch):
+        monkeypatch.setattr(Family, "sample_blocks", None)  # nothing may be drawn
+        with pytest.raises(DomainError, match=f"seed must be a 64-bit integer, got {seed}"):
+            ac.mc_tail(ac.gaussian(0, 1), 1.0, 1000, seed)
+
+    @pytest.mark.parametrize("master, count", [(True, 2), (-1, 2), (1.5, 2), (2**130, 2),
+                                               (1, -1), (1, 1.5), (1, True)],
+                             ids=["bool", "-1", "float", "2**130", "count--1",
+                                  "count-float", "count-bool"])
+    def test_derived_seeds_keep_the_same_seed_rule(self, master, count):
+        with pytest.raises(DomainError, match="seed must be a 64-bit integer|count >= 0"):
+            ac.derive_seeds(master, count)
+
     @pytest.mark.parametrize("ps", PANEL_LAWS + RAY_LAWS,
                              ids=[f"{ps.family.value}-{i}" for i, ps
                                   in enumerate(PANEL_LAWS + RAY_LAWS)])
@@ -107,6 +122,7 @@ class TestMcTail:
     def test_derived_seeds_are_deterministic(self):
         assert ac.derive_seeds(42, 5) == ac.derive_seeds(42, 5)
         assert ac.derive_seeds(42, 5) != ac.derive_seeds(43, 5)
+        assert ac.derive_seeds(2**64 - 1, 0) == []
 
 
 class TestQuadStudentCdf:
@@ -135,37 +151,49 @@ class TestQuadNormalTail:
         assert ac.quad_normal_symmetric_tail(y) == pytest.approx(want, abs=1e-12)
 
 
-# run in a fresh interpreter, since this test process may hold scipy already
+# run in a fresh interpreter, since this test process holds numpy and may hold scipy
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
     sys.path.insert(0, sys.argv[1])
 
-    def scipy_modules():
-        return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    def loaded():
+        return {top: sorted(name for name in sys.modules if name.partition(".")[0] == top)
+                for top in ("numpy", "scipy")}
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return anticonc.cli.main(list(argv))
 
     import anticonc, anticonc.cli
     anticonc.cli.build_parser()
-    after_parser = scipy_modules()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = anticonc.cli.main(["tail", "--family", "poisson",
-                                  "--params", sys.argv[2], "--y", "1.0"])
-    after_tail = scipy_modules()
-    value = anticonc.quad_student_cdf(5, 1.3)
-    print(json.dumps({"after_parser": after_parser, "tail_code": code,
-                      "after_tail": after_tail, "after_quad": scipy_modules(),
-                      "value": value}))
+    probe = {"after_parser": loaded()}
+    probe["tail_code"] = run("tail", "--family", "poisson", "--params", sys.argv[2],
+                             "--y", "1.0")
+    probe["after_tail"] = loaded()
+    probe["witness_code"] = run("witness", "--family", "poisson", "--y", "1.0",
+                                "--epsilon", "1e-3")
+    probe["after_witness"] = loaded()
+    probe["mc"] = repr(anticonc.mc_tail(anticonc.poisson(4.0), 1.0, 1000, seed=7))
+    probe["after_mc"] = loaded()
+    probe["value"] = anticonc.quad_student_cdf(5, 1.3)
+    probe["after_quad"] = loaded()
+    print(json.dumps(probe))
 """)
 
 
-def test_scipy_loads_with_the_first_quadrature_call_only():
+def test_numpy_and_scipy_load_with_their_first_use_only():
     src = Path(ac.__file__).resolve().parent.parent
     params = json.dumps(dict(_FAMILIES[ac.FamilyId.POISSON].panel.params))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), params],
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout)
-    assert probe["after_parser"] == []
-    assert probe["tail_code"] == 0 and probe["after_tail"] == []
-    assert "scipy.integrate" in probe["after_quad"]
+    neither = {"numpy": [], "scipy": []}
+    assert probe["after_parser"] == neither
+    assert probe["tail_code"] == 0 and probe["after_tail"] == neither
+    assert probe["witness_code"] == 0 and probe["after_witness"] == neither
+    assert "numpy.random" in probe["after_mc"]["numpy"] and probe["after_mc"]["scipy"] == []
+    assert probe["mc"] == repr(ac.mc_tail(ac.poisson(4.0), 1.0, 1000, seed=7))
+    assert "scipy.integrate" in probe["after_quad"]["scipy"]
     assert probe["value"] == ac.quad_student_cdf(5, 1.3)
 
 
