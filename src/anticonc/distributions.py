@@ -21,7 +21,6 @@ exactly y standard deviations from the mean belongs to the tail.
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import dataclass, field
@@ -331,10 +330,8 @@ class Family:
     integer support and log-pmf, plus, when the support is unbounded
     above, a bound on the pmf ratio that ends the sum.  Each function
     sees the parameters typed once: integer fields as int, the rest as
-    float.  `sample_blocks` hands out sample's draws in blocks; a
-    sampler that does not draw variate by variate (Student's t draws
-    all its normals first) gives its own blockwise form as
-    `split_sample`.
+    float.  `sample` draws variate by variate, so draws made in blocks
+    replay one array of the same total, bit for bit.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the
@@ -363,21 +360,6 @@ class Family:
     support: Optional[Callable[[_Params], tuple[int, Optional[int]]]] = None  # kmax None: no end
     log_pmf: Optional[Callable[[_Params, int], float]] = None
     ratio_bound: Optional[Callable[[_Params, int], float]] = None  # >= pmf(j+1)/pmf(j), j >= k
-    split_sample: Optional[Callable] = None  # sample_blocks, where sample is not variate by variate
-
-    def sample_blocks(self, p: _Params, rng: np.random.Generator, n: int, block: int):
-        """The n variates of sample(p, rng, n), bit for bit, in arrays of at most block.
-
-        Once every block is drawn, rng is where the one array would leave it.
-        """
-        if self.split_sample is not None:
-            return self.split_sample(p, rng, n, block)
-        return (self.sample(p, rng, size) for size in _block_sizes(n, block))
-
-
-def _block_sizes(n: int, block: int) -> list[int]:
-    """n split into runs of block, the last one shorter."""
-    return [block] * (n // block) + ([n % block] if n % block else [])
 
 
 def _require(*rules):
@@ -481,30 +463,6 @@ def student_t_cdf(n: int, x: float) -> float:
     coeff = math.exp(log_gamma_half_ratio(half_n) - 0.5 * math.log(n * math.pi))
     hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x2 / n)
     return clamp_probability(0.5 + x * coeff * hyp, context="student_t_cdf")
-
-
-def _t_sample(p: _Params, rng: np.random.Generator, size):
-    import numpy as np
-    n = p["n"]
-    z = rng.standard_normal(size)
-    v = rng.chisquare(n, size)
-    return z / np.sqrt(v / n)
-
-
-def _t_sample_blocks(p: _Params, rng: np.random.Generator, size: int, block: int):
-    """_t_sample(p, rng, size) in blocks.  It draws all its normals before any
-    chi-square, so the chi-squares come from a twin of rng that has first
-    drawn and dropped the size normals."""
-    import numpy as np
-    n = p["n"]
-    twin = copy.deepcopy(rng)
-    for b in _block_sizes(size, block):
-        twin.standard_normal(b)
-    for b in _block_sizes(size, block):
-        z = rng.standard_normal(b)
-        v = twin.chisquare(n, b)
-        yield z / np.sqrt(v / n)
-    rng.bit_generator.state = twin.bit_generator.state
 
 
 def _binomial_moments(p: _Params) -> Moments:
@@ -682,7 +640,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
         moments=lambda p: Moments(0.0, p["n"] / (p["n"] - 2.0)),
         method="special-function", abs_error_bound=1e-12,
-        sample=_t_sample, split_sample=_t_sample_blocks, panel=student_t(5),
+        sample=lambda p, rng, size: rng.standard_t(p["n"], size), panel=student_t(5),
         grid=GridSpec({"n": GridAxis(3, 400, 398, "linear", integer=True)}),
         cdf=lambda p, x: student_t_cdf(p["n"], x),
         survival=lambda p, x: student_t_cdf(p["n"], -x)),
@@ -968,9 +926,9 @@ def sample(ps: ParamSet, rng: np.random.Generator, size=None):
     Returns a float when size is None, for discrete families too (3.0, not
     3), otherwise an ndarray.  Deterministic given the generator state;
     the light-tailed continuous families use explicit inverse-CDF
-    transforms, Student's t uses the normal-over-chi construction, and the
-    remaining families use the generator's native (rejection/summation)
-    methods.
+    transforms, and the remaining families, Student's t among them, use
+    the generator's native methods (numpy's standard_t draws one normal
+    and one gamma per variate).
     """
     law, p = _valid_law(ps)
     out = law.sample(p, rng, size)

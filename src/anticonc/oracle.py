@@ -6,10 +6,12 @@ rules (scipy's log-gamma, not ours), the Monte Carlo oracle estimates
 tails from seeded PCG64 streams, and the grid oracle brute-forces the
 parameter infimum that the closed forms claim to attain.  The Monte Carlo
 oracle draws and counts its stream in blocks of 2**16 variates, so its
-memory is constant in the number of draws.  Its grid types
-`GridAxis` and `GridSpec`, and each family's default grid, live with the
-family records in `distributions`; `_complete_point` below is the rule
-that turns a grid's derived axes into the family's own parameters.
+memory is constant in the number of draws; every family's sampler draws
+variate by variate, so the blocks replay one array of the same total.
+Its grid types `GridAxis` and `GridSpec`, and each family's default
+grid, live with the family records in `distributions`; `_complete_point`
+below is the rule that turns a grid's derived axes into the family's
+own parameters.
 
 numpy and scipy load on first use, not with this module.  numpy is
 imported by the first call that draws a sample, derives seeds or spans a
@@ -88,12 +90,18 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
+def _block_sizes(n: int, block: int) -> list[int]:
+    """n split into runs of block, the last one shorter."""
+    return [block] * (n // block) + ([n % block] if n % block else [])
+
+
 def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     """Empirical fraction of |X - mu| >= y*sigma over a seeded PCG64 stream.
 
     The n_samples draws (an int from 1000 to 10**9) are made and counted
-    2**16 at a time, so memory stays constant whatever n_samples is.  The
-    count is the one a single array of n_samples draws gives, bit for bit.
+    2**16 at a time, so memory stays constant whatever n_samples is.  Every
+    family's sampler draws variate by variate, so the count is the one a
+    single array of n_samples draws gives, bit for bit.
     """
     law, p = _valid_law(ps)
     if not (type(n_samples) is int and 1000 <= n_samples <= 10**9):
@@ -105,8 +113,8 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     sd = _tail_sd(ps.family, m)
     import numpy as np
     rng = np.random.Generator(np.random.PCG64(seed))
-    hits = sum(np.count_nonzero(np.abs(draws - m.mean) >= y * sd)
-               for draws in law.sample_blocks(p, rng, n_samples, _MC_BLOCK))
+    hits = sum(np.count_nonzero(np.abs(law.sample(p, rng, b) - m.mean) >= y * sd)
+               for b in _block_sizes(n_samples, _MC_BLOCK))
     est = hits / n_samples
     std_err = math.sqrt(est * (1.0 - est) / n_samples)
     return McEstimate(estimate=est, std_err=std_err, n_samples=n_samples, seed=seed)
