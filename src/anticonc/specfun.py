@@ -105,6 +105,8 @@ def log_gamma_half_ratio(a: float) -> float:
         1/2 log a - 1/(8a) + 1/(192a^3) - 1/(640a^5) + 17/(14336a^7),
     which does not lose the digits that cancel in that difference at large a.
     """
+    if not (_is_number(a) and a > 0.0):
+        raise DomainError(f"log_gamma_half_ratio requires a > 0, got a={a!r}")
     if a < _STIRLING_RATIO_MIN_A:
         return log_gamma(a + 0.5) - log_gamma(a)
     r = 1.0 / a
@@ -143,9 +145,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     geometrically.  The transformation is applied on min(a, b), so the
     function is exactly symmetric in its first two arguments.
     """
-    for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(v):
-            raise DomainError(f"gauss_2f1 argument {name} must be finite, got {v!r}")
+    if not (_is_number(a) and _is_number(b) and _is_number(c) and _is_number(z)):
+        raise DomainError(f"gauss_2f1 requires finite reals, got a={a!r}, b={b!r}, c={c!r}, "
+                          f"z={z!r}")
     if c <= 0.0 and c == math.floor(c):
         raise DomainError(f"c must not be a non-positive integer, got {c}")
     if z >= 1.0:

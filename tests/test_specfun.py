@@ -66,6 +66,11 @@ class TestLogGammaHalfRatio:
         for a in (0.5, 1.5, 2.5, 24.5):
             assert specfun.log_gamma_half_ratio(a) == log_gamma(a + 0.5) - log_gamma(a)
 
+    @pytest.mark.parametrize("a", [0.0, -0.25, -1e30])
+    def test_a_not_positive_is_refused_under_its_own_name(self, a):
+        with pytest.raises(DomainError, match="log_gamma_half_ratio requires a > 0"):
+            specfun.log_gamma_half_ratio(a)
+
 
 class TestGauss2F1:
     def test_z_zero_is_one(self):
@@ -241,6 +246,11 @@ KERNEL_ARGUMENTS = {
     "reg_inc_beta-a": lambda v: reg_inc_beta(0.5, v, 3.0),
     "reg_inc_beta-b": lambda v: reg_inc_beta(0.5, 2.0, v),
     "std_normal_cdf-x": std_normal_cdf,
+    "gauss_2f1-a": lambda v: gauss_2f1(v, 1.0, 1.5, 0.5),
+    "gauss_2f1-b": lambda v: gauss_2f1(0.5, v, 1.5, 0.5),
+    "gauss_2f1-c": lambda v: gauss_2f1(0.5, 1.0, v, 0.5),
+    "gauss_2f1-z": lambda v: gauss_2f1(0.5, 1.0, 1.5, v),
+    "log_gamma_half_ratio-a": specfun.log_gamma_half_ratio,
 }
 
 
