@@ -234,8 +234,9 @@ class GridAxis:
     def __post_init__(self):
         if self.scale not in ("linear", "logarithmic"):
             raise DomainError(f"axis scale must be linear or logarithmic, got {self.scale!r}")
-        if self.points < 2:
-            raise DomainError(f"axis needs at least 2 points, got {self.points}")
+        if not (type(self.points) is int and 2 <= self.points <= 10**6):
+            raise DomainError(f"axis points must be an integer from 2 to 10**6, "
+                              f"got {self.points!r}")
         if not (_is_number(self.lo) and _is_number(self.hi) and self.lo < self.hi):
             raise DomainError(f"axis range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
         if self.scale == "logarithmic" and self.lo <= 0:

@@ -115,7 +115,7 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = sum(np.count_nonzero(np.abs(law.sample(p, rng, b) - m.mean) >= y * sd)
                for b in _block_sizes(n_samples, _MC_BLOCK))
-    est = hits / n_samples
+    est = int(hits) / n_samples
     std_err = math.sqrt(est * (1.0 - est) / n_samples)
     return McEstimate(estimate=est, std_err=std_err, n_samples=n_samples, seed=seed)
 

@@ -43,6 +43,12 @@ class TestMcTail:
         assert abs(est.estimate - want) <= 4.0 * est.std_err
         assert est.estimate == pytest.approx(0.3173, abs=0.002)
 
+    def test_estimate_is_a_python_float(self):
+        est = ac.mc_tail(ac.gaussian(0, 1), 1.0, 1000, seed=1)
+        assert type(est.estimate) is float
+        assert repr(est) == ("McEstimate(estimate=0.301, std_err=0.014505137021069467, "
+                             "n_samples=1000, seed=1)")
+
     def test_impossible_event_estimates_zero(self):
         # uniform support ends at sqrt(3) standardized units
         est = ac.mc_tail(ac.uniform(-1.0, 1.0), 2.0, 10**4, seed=5)
@@ -271,8 +277,9 @@ class TestGridInfimum:
 
 class TestGridSpecJson:
     def test_axis_validation(self):
-        with pytest.raises(DomainError):
-            GridAxis(1.0, 10.0, 1)
+        for points in (1, 2.5, True, 10**30):
+            with pytest.raises(DomainError, match="axis points must be an integer"):
+                GridAxis(1.0, 10.0, points)
         with pytest.raises(DomainError):
             GridAxis(10.0, 1.0, 5)
         with pytest.raises(DomainError):
