@@ -21,11 +21,12 @@ exactly y standard deviations from the mean belongs to the tail.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Union
 
 from .errors import DomainError, InternalError
 from .specfun import (
@@ -359,7 +360,7 @@ class Family:
     cdf_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X <= e^u)
     survival_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X >= e^u)
     support: Optional[Callable[[_Params], tuple[int, Optional[int]]]] = None  # kmax None: no end
-    log_pmf: Optional[Callable[[_Params, int], float]] = None
+    log_pmfs: Optional[Callable[[_Params, int], Iterator[float]]] = None  # from k0 on
     ratio_bound: Optional[Callable[[_Params, int], float]] = None  # >= pmf(j+1)/pmf(j), j >= k
 
 
@@ -409,6 +410,11 @@ def _log_binom_coeff(n: int, k: int) -> float:
     if n <= 10**6:
         return math.log(math.comb(n, k))
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
+
+
+def _per_k(log_pmf: Callable[[_Params, int], float]):
+    """log_pmfs from a per-k log pmf: log_pmf(p, k) for k = k0, k0 + 1, ..."""
+    return lambda p, k0: map(log_pmf, itertools.repeat(p), itertools.count(k0))
 
 
 # the parts of the records below too long for a lambda or needing an import, in table order
@@ -528,6 +534,30 @@ def _hypergeometric_log_pmf(p: _Params, k: int) -> float:
     M, N, n = p["M"], p["N"], p["n"]
     return (_log_binom_coeff(M, k) + _log_binom_coeff(N - M, n - k)
             - _log_binom_coeff(N, n))
+
+
+def _hypergeometric_log_pmfs(p: _Params, k0: int) -> Iterator[float]:
+    """log pmf(k0), log pmf(k0 + 1), ... from exact binomial coefficients.
+
+    C(N, n) is formed once, and C(M, k) and C(N - M, n - k) are stepped in
+    k by one exact multiply and floor-divide each, since
+    C(M, k) (M - k) = C(M, k + 1) (k + 1).  math.log sees the integers the
+    per-k formula forms, so the terms are its terms bit for bit.  The
+    route is taken for N <= 10^6, and past it while C(N, n) stays within
+    about 10^6 bits (n * N.bit_length() <= 10^6, the witness ray's n = 1
+    at any N); larger laws keep the per-k formula with its log_gamma.
+    Stepping past kmax gives C = 0, so the caller stops at its last k.
+    """
+    M, N, n = p["M"], p["N"], p["n"]
+    if N > 10**6 and n * N.bit_length() > 10**6:
+        yield from _per_k(_hypergeometric_log_pmf)(p, k0)
+        return
+    log_all = math.log(math.comb(N, n))
+    good, bad = math.comb(M, k0), math.comb(N - M, n - k0)
+    for k in itertools.count(k0):
+        yield math.log(good) + math.log(bad) - log_all
+        good = good * (M - k) // (k + 1)
+        bad = bad * (n - k) // (N - M - n + k + 1)
 
 
 def _pareto_moments(p: _Params) -> Moments:
@@ -655,7 +685,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=binomial(20, 0.3),
         grid=GridSpec({"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"n": 1}),
         ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
-        support=lambda p: (0, p["n"]), log_pmf=_binomial_log_pmf),
+        support=lambda p: (0, p["n"]), log_pmfs=_per_k(_binomial_log_pmf)),
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(p["lambda"], p["lambda"]),
@@ -664,7 +694,8 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
         ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
         support=lambda p: (0, None),
-        log_pmf=lambda p, k: k * math.log(p["lambda"]) - p["lambda"] - log_gamma(k + 1.0),
+        log_pmfs=_per_k(lambda p, k: k * math.log(p["lambda"]) - p["lambda"]
+                        - log_gamma(k + 1.0)),
         ratio_bound=lambda p, k: p["lambda"] / (k + 1.0)),
     FamilyId.NEG_BINOMIAL: Family(
         fields=("r", "p"),
@@ -676,7 +707,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=neg_binomial(2.5, 0.4),
         grid=GridSpec({"q": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"r": 1.0}),
         ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1"),
-        support=lambda p: (0, None), log_pmf=_neg_binomial_log_pmf,
+        support=lambda p: (0, None), log_pmfs=_per_k(_neg_binomial_log_pmf),
         ratio_bound=_neg_binomial_ratio_bound),
     FamilyId.HYPERGEOMETRIC: Family(
         fields=("M", "N", "n"), integer_fields=("M", "N", "n"),
@@ -687,7 +718,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
         ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
                  step=lambda N: 2 * N, split=_split_int),
-        support=_hypergeometric_support, log_pmf=_hypergeometric_log_pmf),
+        support=_hypergeometric_support, log_pmfs=_hypergeometric_log_pmfs),
     FamilyId.GAMMA: Family(
         fields=("alpha", "beta"), check=_positive("alpha", "beta"),
         moments=lambda p: Moments(p["alpha"] * p["beta"], p["alpha"] * p["beta"] * p["beta"]),
@@ -814,8 +845,8 @@ def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: Optional[int], upper
     if kmax is not None:
         k_end = min(k_end, kmax)
     total = 0.0
-    for k in range(kmin, k_end + 1):
-        lp = law.log_pmf(p, k)
+    # the range ends the zip, so log_pmfs is never advanced past k_end
+    for k, lp in zip(range(kmin, k_end + 1), law.log_pmfs(p, kmin)):
         val = math.exp(lp) if lp > -745.0 else 0.0
         if keep is None or keep(k):
             total += val
@@ -832,7 +863,7 @@ def cdf(ps: ParamSet, x: float) -> float:
     """P(X <= x); right-continuous with the atom at x for discrete families."""
     law, p = _valid_law(ps)
     x = _check_x(x)
-    if law.log_pmf is None:
+    if law.log_pmfs is None:
         return law.cdf(p, x)
     kmin, kmax = law.support(p)
     if x < kmin:
@@ -909,7 +940,7 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
         raise DomainError(f"{ps.family.value} y*sigma = {y * sd!r} is lost in rounding the mean "
                           f"{m.mean!r}, so no tail can be placed around it")
 
-    if law.log_pmf is not None:
+    if law.log_pmfs is not None:
         kmin, kmax = law.support(p)
         k0 = max(kmin, math.ceil(lo))
         inner = _discrete_sum(law, p, k0, kmax, hi, m.mean,

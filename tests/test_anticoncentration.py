@@ -379,6 +379,15 @@ class TestWitnesses:
         assert w.achieved_tail == pytest.approx(0.005, abs=1e-13)
         assert w.achieved_tail <= w.epsilon
 
+    @pytest.mark.parametrize("y", [0.5, 1.0])
+    def test_hypergeometric_certificate_past_a_million_is_sound(self, y):
+        # on this stretch of the ray the tail is exactly 1/N; log_gamma terms
+        # past N = 10^6 made this search raise InternalError
+        w = ac.witness_parameter("hypergeometric", y, 1e-8)
+        assert w.params["N"] > 10**6
+        assert w.achieved_tail <= 1e-8
+        assert Fraction(1, w.params["N"]) <= Fraction(1e-8)
+
     def test_poisson_certificate_on_ray(self):
         w = ac.witness_parameter("poisson", 1.0, 0.01)
         lam = w.params["lambda"]

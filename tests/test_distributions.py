@@ -5,8 +5,10 @@ Tail literals were frozen from scipy.stats (cdf/sf and exact pmf sums
 computed independently of this package's special functions).
 """
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from scipy import stats
 
 import anticonc as ac
-from anticonc import FamilyId, ParamSet
+from anticonc import FamilyId, ParamSet, distributions
 from anticonc.errors import DomainError
 
 
@@ -472,6 +474,60 @@ class TestTailProbability:
             ac.tail_probability(ac.gaussian(0, 1), 0.0)
         with pytest.raises(DomainError):
             ac.tail_probability(ac.gaussian(0, 1), -1.0)
+
+
+def hypergeometric_log_pmfs_per_k(M, N, n, ks):
+    """The per-k formula the stepped terms must reproduce, at each k of ks."""
+    log_all = math.log(math.comb(N, n))
+    return [math.log(math.comb(M, k)) + math.log(math.comb(N - M, n - k)) - log_all
+            for k in ks]
+
+
+class TestHypergeometricSteps:
+    @pytest.mark.parametrize("M,N,n", [
+        (1, 2, 1), (30, 100, 20), (90, 100, 20), (5, 100, 20), (95, 100, 97),
+        (500, 1000, 999), (5000, 20000, 3000), (7, 10**6, 300), (999_990, 10**6, 40),
+        (10**6 - 1, 10**6, 1),
+    ])
+    def test_stepped_terms_are_the_per_k_terms_bit_for_bit(self, M, N, n):
+        # 25 terms from the lower support edge, from the middle, and up to
+        # the upper edge and no further
+        p = {"M": M, "N": N, "n": n}
+        kmin, kmax = max(0, n - (N - M)), min(M, n)
+        for k0 in (kmin, (kmin + kmax) // 2, max(kmin, kmax - 24)):
+            ks = range(k0, min(k0 + 24, kmax) + 1)
+            got = [lp for _, lp in zip(ks, distributions._hypergeometric_log_pmfs(p, k0))]
+            assert got == hypergeometric_log_pmfs_per_k(M, N, n, ks), k0
+
+    def test_large_draws_past_a_million_keep_the_per_k_formula(self):
+        # n * N.bit_length() > 10^6: C(N, n) would pass 10^6 bits
+        p = {"M": 2 * 10**6, "N": 4 * 10**6, "n": 10**5}
+        k0 = 49_990
+        got = list(itertools.islice(distributions._hypergeometric_log_pmfs(p, k0), 20))
+        assert got == [distributions._hypergeometric_log_pmf(p, k) for k in range(k0, k0 + 20)]
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
+    def test_tail_against_the_exact_inner_sum(self, y):
+        M, N, n = 5000, 20000, 3000
+        mean = Fraction(n * M, N)
+        var = Fraction(n * M * (N - M) * (N - n), N * N * (N - 1))
+        y2 = Fraction(y) ** 2
+        inner = sum(math.comb(M, k) * math.comb(N - M, n - k)
+                    for k in range(n + 1) if (k - mean) ** 2 < y2 * var)
+        want = 1 - Fraction(inner, math.comb(N, n))
+        got = ac.tail_probability(ac.hypergeometric(M, N, n), y).probability
+        # each term's exponent carries the rounding of logs up to
+        # log C(N, n) = 8449.3, about 2 of its ulps (1.8e-12) in all: these
+        # tails are off by 3.8e-13, 7.6e-13 and 1.05e-12, past the family's
+        # 1e-13 bound, as they were before the terms were stepped
+        assert abs(Fraction(got) - want) <= 2 * math.ulp(math.log(math.comb(N, n)))
+
+    @pytest.mark.parametrize("N", [2**20 + 1, 10**7, 10**9])
+    def test_witness_ray_past_a_million_is_one_over_n(self, N):
+        # log_gamma cancellation gave 1.9e-9 and 1.9e-8 off at the first two,
+        # and InternalError at 10^9
+        got = ac.tail_probability(ac.hypergeometric(N - 1, N, 1), 1.0).probability
+        assert abs(Fraction(got) - Fraction(1, N)) <= Fraction(1e-13)
 
 
 class TestSample:
