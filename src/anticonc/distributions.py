@@ -13,7 +13,11 @@ are the paper's closed forms in y alone.  Other continuous tails
 come from closed-form CDF/survival pairs (special functions where
 needed; the Student's t CDF, in hypergeometric form, sits beside its
 record); discrete tails are exact complements of an interior pmf sum
-evaluated in log space.
+evaluated in log space.  A lattice record hands the sum its log pmfs as
+one iterator over consecutive k from the first k summed; the sum stops
+it at its last k and never advances it further, so a record may step
+its terms from one k to the next (the hypergeometric steps its binomial
+coefficients in exact integers).
 
 The |X - mu| >= y*sigma event is inclusive: an integer lattice point at
 exactly y standard deviations from the mean belongs to the tail.
@@ -329,11 +333,13 @@ class Family:
     moves.  Weibull and log-normal moments overflow a double far along
     their witness rays, so those two give log-moments and both tails at
     e^u instead of the survival function.  A discrete family gives its
-    integer support and log-pmf, plus, when the support is unbounded
-    above, a bound on the pmf ratio that ends the sum.  Each function
-    sees the parameters typed once: integer fields as int, the rest as
-    float.  `sample` draws variate by variate, so draws made in blocks
-    replay one array of the same total, bit for bit.
+    integer support and `log_pmfs(p, k0)`, an iterator over log pmf(k0),
+    log pmf(k0 + 1), ... that the caller never advances past its last k,
+    plus, when the support is unbounded above, a bound on the pmf ratio
+    that ends the sum.  Each function sees the parameters typed once:
+    integer fields as int, the rest as float.  `sample` draws variate by
+    variate, so draws made in blocks replay one array of the same total,
+    bit for bit.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the
@@ -541,12 +547,12 @@ def _hypergeometric_log_pmfs(p: _Params, k0: int) -> Iterator[float]:
 
     C(N, n) is formed once, and C(M, k) and C(N - M, n - k) are stepped in
     k by one exact multiply and floor-divide each, since
-    C(M, k) (M - k) = C(M, k + 1) (k + 1).  math.log sees the integers the
-    per-k formula forms, so the terms are its terms bit for bit.  The
-    route is taken for N <= 10^6, and past it while C(N, n) stays within
-    about 10^6 bits (n * N.bit_length() <= 10^6, the witness ray's n = 1
-    at any N); larger laws keep the per-k formula with its log_gamma.
-    Stepping past kmax gives C = 0, so the caller stops at its last k.
+    C(M, k) (M - k) = C(M, k + 1) (k + 1).  Up to N = 10^6, math.log sees
+    the integers of the per-k formula, so the terms are its terms bit for
+    bit.  Past it the route stays exact while C(N, n) has at most about
+    10^6 bits (n * N.bit_length() <= 10^6, so the witness ray's n = 1 at
+    any N); larger laws keep the per-k formula with its log_gamma.  A step
+    past kmax gives C = 0, so the caller stops at its last k.
     """
     M, N, n = p["M"], p["N"], p["n"]
     if N > 10**6 and n * N.bit_length() > 10**6:
