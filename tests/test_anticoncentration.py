@@ -289,6 +289,25 @@ class TestStudentTTails:
         assert ac.student_t_cdf(3, -1e200) == 0.0
         assert ac.student_t_cdf(3, 1e200) == 1.0
 
+    @pytest.mark.parametrize("y", [2.3, 3.0])
+    def test_tail_at_the_largest_beta_route_dof(self, y):
+        # off by 5.3e-13 at y = 2.3 and 3.9e-14 at y = 3
+        n = 10**6
+        with mpmath.workdps(60):
+            x = y * mpmath.sqrt(mpmath.mpf(n) / (n - 2))
+        want = float(2 * mp_t_lower_tail(n, x))
+        assert abs(ac.tail_probability(ac.student_t(n), y).probability - want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [10**7, 10**17])
+    def test_beta_route_refuses_past_a_million_dof(self, n):
+        # the route was off by 1.4e-11 at n = 10**7 and gave 1.0 for 0.0214 at 10**17
+        route = r"incomplete-beta route \(x\^2 > 5\) requires n <= 10\*\*6"
+        with pytest.raises(DomainError, match=route):
+            ac.tail_probability(ac.student_t(n), 2.3)
+        with pytest.raises(DomainError, match=route):
+            ac.student_t_cdf(n, 2.3)
+        assert ac.tail_probability(ac.student_t(n), 2.0).probability > 0.0  # the series
+
     @pytest.mark.parametrize("n,x", [(10**5, 2.3), (10**5, -2.3), (10**6, 1.2),
                                      (10**6, -1.2), (10**6, 2.236)])
     def test_large_n_centre(self, n, x):

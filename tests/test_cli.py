@@ -221,6 +221,13 @@ class TestTail:
         assert json.loads(out)["probability"] == pytest.approx(1.5205831474484516e-22,
                                                                rel=1e-12)
 
+    def test_student_t_beta_route_past_a_million_dof_exits_two(self, capsys):
+        code, out, err = run(capsys, "tail", "--family", "student-t",
+                             "--params", '{"n": 10000000}', "--y", "2.3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: student_t_cdf's incomplete-beta route (x^2 > 5) "
+                              "requires n <= 10**6, got n=10000000")
+
 
 @pytest.mark.parametrize("error", [ConvergenceError, InternalError])
 def test_a_computation_error_is_one_line_with_exit_one(capsys, monkeypatch, error):

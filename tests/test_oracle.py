@@ -31,6 +31,19 @@ def one_array_estimate(ps, y, n, seed):
     return np.count_nonzero(np.abs(draws - m.mean) >= y * math.sqrt(m.variance)) / n
 
 
+def block_stream_estimate(ps, y, n, seed):
+    """The fraction counted block by block in one thread, block i drawn from
+    its own PCG64(seed).jumped(i) stream."""
+    law, p = _valid_law(ps)
+    m = law.moments(p)
+    hits = 0
+    for i, start in enumerate(range(0, n, oracle._MC_BLOCK)):
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(i))
+        draws = law.sample(p, rng, min(oracle._MC_BLOCK, n - start))
+        hits += np.count_nonzero(np.abs(draws - m.mean) >= y * math.sqrt(m.variance))
+    return hits / n
+
+
 class TestMcTail:
     def test_replay_is_bit_identical(self):
         a = ac.mc_tail(ac.gaussian(0, 1), 1.0, 10**4, seed=987)
@@ -88,16 +101,45 @@ class TestMcTail:
             ac.derive_seeds(master, count)
 
     @pytest.mark.parametrize("ps", PANEL_LAWS + RAY_LAWS, ids=LAW_IDS)
-    def test_blocks_count_what_one_array_counts(self, ps):
-        # block edges at 2**16: none, exactly one block, one past it, and three
-        for n in (1000, 65536, 65537, 2 * 65536 + 1):
+    def test_one_block_counts_what_one_array_counts(self, ps):
+        for n in (1000, oracle._MC_BLOCK):
             for seed in (3, 41, 2**63 + 5):
                 est = ac.mc_tail(ps, 1.0, n, seed)
                 assert est.estimate == one_array_estimate(ps, 1.0, n, seed)
 
+    @pytest.mark.parametrize("ps", PANEL_LAWS + RAY_LAWS, ids=LAW_IDS)
+    def test_each_block_counts_its_own_jumped_stream(self, ps):
+        # block edges: exactly one block, one past it, and three
+        block = oracle._MC_BLOCK
+        for n in (block, block + 1, 2 * block + 1):
+            for seed in (3, 41, 2**63 + 5):
+                est = ac.mc_tail(ps, 1.0, n, seed)
+                assert est.estimate == block_stream_estimate(ps, 1.0, n, seed)
+
+    def test_the_worker_count_does_not_change_the_estimate(self, monkeypatch):
+        import concurrent.futures
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        ps, n = ac.student_t(5), 10 * oracle._MC_BLOCK + 7  # 11 blocks
+        estimates = []
+        for cores in (1, 64):
+            monkeypatch.setattr(oracle, "_cores", lambda: cores)
+            estimates.append(ac.mc_tail(ps, 2.0, n, seed=29))
+        assert pools == [oracle._MC_WORKERS]
+        assert estimates[0] == estimates[1]
+        assert estimates[0].estimate == block_stream_estimate(ps, 2.0, n, 29)
+
     @pytest.mark.parametrize("ps", PANEL_LAWS, ids=[ps.family.value for ps in PANEL_LAWS])
-    def test_memory_does_not_grow_with_the_draws(self, ps):
-        # one array of 10**6 draws of t(5) peaked at 31.2 MiB
+    def test_memory_does_not_grow_with_the_draws(self, ps, monkeypatch):
+        # one array of 10**6 draws of t(5) peaked at 31.2 MiB; every worker
+        # the cap allows holds a block at once, whatever the machine's cores
+        monkeypatch.setattr(oracle, "_cores", lambda: 64)
         tracemalloc.start()
         try:
             ac.mc_tail(ps, 1.0, 10**6, seed=11)
@@ -163,7 +205,7 @@ _IMPORT_PROBE = textwrap.dedent("""
 
     def loaded():
         return {top: sorted(name for name in sys.modules if name.partition(".")[0] == top)
-                for top in ("numpy", "scipy")}
+                for top in ("numpy", "scipy", "concurrent")}
 
     def run(*argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -192,11 +234,13 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), params],
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout)
-    neither = {"numpy": [], "scipy": []}
-    assert probe["after_parser"] == neither
-    assert probe["tail_code"] == 0 and probe["after_tail"] == neither
-    assert probe["witness_code"] == 0 and probe["after_witness"] == neither
+    none = {"numpy": [], "scipy": [], "concurrent": []}
+    assert probe["after_parser"] == none
+    assert probe["tail_code"] == 0 and probe["after_tail"] == none
+    assert probe["witness_code"] == 0 and probe["after_witness"] == none
     assert "numpy.random" in probe["after_mc"]["numpy"] and probe["after_mc"]["scipy"] == []
+    # a one-block call counts in the caller's thread
+    assert probe["after_mc"]["concurrent"] == []
     assert probe["mc"] == repr(ac.mc_tail(ac.poisson(4.0), 1.0, 1000, seed=7))
     assert "scipy.integrate" in probe["after_quad"]["scipy"]
     assert probe["value"] == ac.quad_student_cdf(5, 1.3)
