@@ -114,9 +114,10 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
     blocks of 2**15, so memory stays constant whatever n_samples is.  Block
     i draws from its own stream, `PCG64(seed).jumped(i)`; a call whose
     draws fit in one block draws from `PCG64(seed)` itself.  The blocks are
-    counted on min(blocks, cores, 4) threads, each taking every k-th block,
-    and the hits are summed as integers, so the estimate is the same on
-    every machine and for every thread count.
+    counted on k = min(blocks, cores, 4) threads, thread j taking blocks j,
+    j + k, j + 2k, ..., and the hits are summed as integers, so the
+    estimate is the same on every machine and for every thread count.  A
+    one-block call, or a call on one core, counts in the caller's thread.
     """
     law, p = _valid_law(ps)
     if not (type(n_samples) is int and 1000 <= n_samples <= 10**9):
