@@ -9,14 +9,17 @@ holds the family's panel law, default verification grid and, for the
 nine zero-infimum families, witness ray, so no other module keeps a
 per-family table beside the paper's four closed forms.  No parameter
 moves a uniform, exponential or Gaussian standardized tail, so those
-are the paper's closed forms in y alone.  Other continuous tails
-come from closed-form CDF/survival pairs (special functions where
-needed; the Student's t CDF, in hypergeometric form, sits beside its
-record); discrete tails are exact complements of an interior pmf sum
-evaluated in log space.  A lattice record hands the sum its log pmfs as
-one iterator over consecutive k from the first k summed; the sum stops
-it at its last k and never advances it further, so a record may step
-its terms from one k to the next (the hypergeometric steps its binomial
+are the paper's closed forms in y alone.  Other tails come from CDF and
+survival pairs (special functions where needed; the Student's t CDF, in
+hypergeometric form, sits beside its record).  The Poisson and negative
+binomial are such pairs on the lattice: each outer tail is a regularized
+incomplete gamma or beta value, taken directly rather than as one minus
+the rest.  The binomial and hypergeometric laws, whose support is
+bounded, take their tails as exact complements of an interior pmf sum
+evaluated in log space.  Such a record hands the sum its log pmfs as one
+iterator over consecutive k from the first k summed; the sum stops it at
+its last k and never advances it further, so a record may step its terms
+from one k to the next (the hypergeometric steps its binomial
 coefficients in exact integers).
 
 The |X - mu| >= y*sigma event is inclusive: an integer lattice point at
@@ -35,6 +38,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Union
 from .errors import DomainError, InternalError
 from .specfun import (
     _DOUBLE_MAX,
+    _beta_tails,
+    _gamma_tails,
     _is_number,
     clamp_probability,
     gauss_2f1,
@@ -332,11 +337,12 @@ class Family:
     instead their standardized tail in y alone, which no parameter
     moves.  Weibull and log-normal moments overflow a double far along
     their witness rays, so those two give log-moments and both tails at
-    e^u instead of the survival function.  A discrete family gives its
-    integer support and `log_pmfs(p, k0)`, an iterator over log pmf(k0),
-    log pmf(k0 + 1), ... that the caller never advances past its last k,
-    plus, when the support is unbounded above, a bound on the pmf ratio
-    that ends the sum.  Each function sees the parameters typed once:
+    e^u instead of the survival function.  The Poisson and negative
+    binomial give P(X <= x) and P(X >= x) too, as incomplete gamma and
+    beta values at floor(x) and ceil(x).  The binomial and hypergeometric
+    give their bounded integer support and `log_pmfs(p, k0)`, an iterator
+    over log pmf(k0), log pmf(k0 + 1), ... that the caller never advances
+    past its last k.  Each function sees the parameters typed once:
     integer fields as int, the rest as float.  `sample` draws variate by
     variate, so draws made in blocks replay one array of the same total,
     bit for bit.
@@ -365,9 +371,8 @@ class Family:
     log_moments: Optional[Callable[[_Params], tuple[float, float]]] = None  # log mu, log sigma
     cdf_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X <= e^u)
     survival_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X >= e^u)
-    support: Optional[Callable[[_Params], tuple[int, Optional[int]]]] = None  # kmax None: no end
+    support: Optional[Callable[[_Params], tuple[int, int]]] = None  # kmin, kmax
     log_pmfs: Optional[Callable[[_Params, int], Iterator[float]]] = None  # from k0 on
-    ratio_bound: Optional[Callable[[_Params, int], float]] = None  # >= pmf(j+1)/pmf(j), j >= k
 
 
 def _require(*rules):
@@ -504,19 +509,34 @@ def _neg_binomial_moments(p: _Params) -> Moments:
     return Moments(r * q / pr, _over_square(r * q, pr))
 
 
-def _neg_binomial_log_pmf(p: _Params, k: int) -> float:
-    # pmf(l) = C(r+l-1, l) p^r q^l with real r > 0
-    r, pr = p["r"], p["p"]
-    q = 1.0 - pr
-    if k == 0:
-        return r * math.log(pr)
-    return (log_gamma(r + k) - log_gamma(r) - log_gamma(k + 1.0)
-            + r * math.log(pr) + k * math.log(q))
+def _poisson_cdf(p: _Params, x: float) -> float:
+    """P(X <= k) = Q(k + 1, lambda) for k = floor(x)."""
+    if x < 0.0:
+        return 0.0
+    return _gamma_tails(math.floor(x) + 1.0, p["lambda"])[1]
 
 
-def _neg_binomial_ratio_bound(p: _Params, k: int) -> float:
-    q = 1.0 - p["p"]
-    return max(q * (p["r"] + k) / (k + 1.0), q)
+def _poisson_survival(p: _Params, x: float) -> float:
+    """P(X >= k) = P(k, lambda) for k = ceil(x)."""
+    if x <= 0.0:
+        return 1.0
+    return _gamma_tails(float(math.ceil(x)), p["lambda"])[0]
+
+
+def _neg_binomial_cdf(p: _Params, x: float) -> float:
+    """P(X <= k) = I_p(r, k + 1) for k = floor(x)."""
+    if x < 0.0:
+        return 0.0
+    pr = p["p"]
+    return _beta_tails(pr, 1.0 - pr, p["r"], math.floor(x) + 1.0)[0]
+
+
+def _neg_binomial_survival(p: _Params, x: float) -> float:
+    """P(X >= k) = I_{1-p}(k, r) for k = ceil(x), with 1 - (1 - p) taken as p."""
+    if x <= 0.0:
+        return 1.0
+    pr = p["p"]
+    return _beta_tails(1.0 - pr, pr, float(math.ceil(x)), p["r"])[0]
 
 
 def _check_hypergeometric(p: _Params) -> list[str]:
@@ -704,26 +724,22 @@ _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(p["lambda"], p["lambda"]),
-        method="pmf-sum", abs_error_bound=1e-13,
+        method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.poisson(p["lambda"], size),
         panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
         ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
-        support=lambda p: (0, None),
-        log_pmfs=_per_k(lambda p, k: k * math.log(p["lambda"]) - p["lambda"]
-                        - log_gamma(k + 1.0)),
-        ratio_bound=lambda p, k: p["lambda"] / (k + 1.0)),
+        cdf=_poisson_cdf, survival=_poisson_survival),
     FamilyId.NEG_BINOMIAL: Family(
         fields=("r", "p"),
         check=_require((lambda p: p["r"] > 0, "r must be positive"),
                        (lambda p: 0 < p["p"] < 1,
                         "p must lie in (0, 1); p = 1 is degenerate (zero variance)")),
-        moments=_neg_binomial_moments, method="pmf-sum", abs_error_bound=1e-13,
+        moments=_neg_binomial_moments, method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.negative_binomial(p["r"], p["p"], size),
         panel=neg_binomial(2.5, 0.4),
         grid=GridSpec({"q": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"r": 1.0}),
         ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1"),
-        support=lambda p: (0, None), log_pmfs=_per_k(_neg_binomial_log_pmf),
-        ratio_bound=_neg_binomial_ratio_bound),
+        cdf=_neg_binomial_cdf, survival=_neg_binomial_survival),
     FamilyId.HYPERGEOMETRIC: Family(
         fields=("M", "N", "n"), integer_fields=("M", "N", "n"),
         check=_check_hypergeometric,
@@ -846,29 +862,16 @@ def moments(ps: ParamSet) -> Moments:
 
 
 _DISCRETE_LOOP_CAP = 10**7
-_MASS_TRUNCATION = 1e-16
 
 
-def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: Optional[int], upper: float,
-                  mean: float, keep) -> float:
-    """Sum pmf(k) for integer k in [kmin, min(kmax, floor(upper))] with keep(k).
-
-    Unbounded sums stop once a geometric bound shows the remaining mass is
-    below the 1e-16 truncation budget.
-    """
-    k_end = math.floor(upper)
-    if kmax is not None:
-        k_end = min(k_end, kmax)
+def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: int, upper: float, keep) -> float:
+    """Sum pmf(k) for integer k in [kmin, min(kmax, floor(upper))] with keep(k)."""
     total = 0.0
-    # the range ends the zip, so log_pmfs is never advanced past k_end
-    for k, lp in zip(range(kmin, k_end + 1), law.log_pmfs(p, kmin)):
+    # the range ends the zip, so log_pmfs is never advanced past its last k
+    for k, lp in zip(range(kmin, min(math.floor(upper), kmax) + 1), law.log_pmfs(p, kmin)):
         val = math.exp(lp) if lp > -745.0 else 0.0
         if keep is None or keep(k):
             total += val
-        if kmax is None and k > mean and 0.0 < val:
-            rho = law.ratio_bound(p, k)
-            if rho < 1.0 and val * rho / (1.0 - rho) < _MASS_TRUNCATION:
-                break
         if k - kmin >= _DISCRETE_LOOP_CAP:
             raise InternalError(f"discrete summation exceeded {_DISCRETE_LOOP_CAP} terms")
     return total
@@ -883,7 +886,7 @@ def cdf(ps: ParamSet, x: float) -> float:
     kmin, kmax = law.support(p)
     if x < kmin:
         return 0.0
-    total = _discrete_sum(law, p, kmin, kmax, x, law.moments(p).mean, keep=None)
+    total = _discrete_sum(law, p, kmin, kmax, x, keep=None)
     return clamp_probability(total, context="discrete cdf")
 
 
@@ -928,11 +931,13 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     Uniform, exponential and Gaussian laws: the family's standardized
     tail at y, which no parameter moves.  Other continuous families:
     cdf(mu - y*sigma) + P(X >= mu + y*sigma); the boundary has measure
-    zero.  Discrete families: one minus the pmf sum over integers
-    strictly inside (mu - y*sigma, mu + y*sigma), so lattice points at
-    exactly y standard deviations count toward the tail.  Where
-    mu -/+ y*sigma round onto mu, no tail can be placed and DomainError
-    is raised.
+    zero.  Poisson and negative binomial: the same two terms, P(X <= k)
+    for k = floor(mu - y*sigma) and P(X >= k) for k = ceil(mu + y*sigma),
+    each an incomplete gamma or beta value.  Binomial and hypergeometric:
+    one minus the pmf sum over integers strictly inside
+    (mu - y*sigma, mu + y*sigma).  Either way, lattice points at exactly y
+    standard deviations count toward the tail.  Where mu -/+ y*sigma round
+    onto mu, no tail can be placed and DomainError is raised.
     """
     law, p = _valid_law(ps)
     y = _check_y(y)
@@ -958,8 +963,7 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     if law.log_pmfs is not None:
         kmin, kmax = law.support(p)
         k0 = max(kmin, math.ceil(lo))
-        inner = _discrete_sum(law, p, k0, kmax, hi, m.mean,
-                              keep=lambda k: abs(k - m.mean) < y * sd)
+        inner = _discrete_sum(law, p, k0, kmax, hi, keep=lambda k: abs(k - m.mean) < y * sd)
         prob = clamp_probability(1.0 - inner, context="discrete tail")
     else:
         prob = clamp_probability(law.cdf(p, lo) + law.survival(p, hi),

@@ -65,8 +65,9 @@ __all__ = [
 _QUAD_TOL = 1e-12
 
 # mc_tail draws and counts at most _MC_BLOCK variates per block, on at most
-# _MC_WORKERS threads at once, so its memory does not grow with n_samples:
-# a running block holds at most 0.76 MiB, so a call holds about 3 MiB at the cap
+# _MC_WORKERS threads at once, so its memory does not grow with n_samples: a
+# running block peaks at 0.57 MiB under tracemalloc (integer draws and their
+# deviations; 0.28-0.50 MiB for float draws), so a call holds about 2.3 MiB at the cap
 _MC_BLOCK = 2**15
 _MC_WORKERS = 4
 
@@ -137,7 +138,9 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
         hits = 0
         for i in range(first, len(sizes), workers):
             draws = law.sample(p, np.random.Generator(base.jumped(i)), sizes[i])
-            hits += int(np.count_nonzero(np.abs(draws - m.mean) >= y * sd))
+            # |X - mu| in one float array: the draws' own, or one new for integer draws
+            dev = np.subtract(draws, m.mean, out=draws if draws.dtype.kind == "f" else None)
+            hits += int(np.count_nonzero(np.abs(dev, out=dev) >= y * sd))
         return hits
 
     if workers == 1:

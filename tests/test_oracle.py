@@ -148,6 +148,20 @@ class TestMcTail:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("ps", PANEL_LAWS, ids=[ps.family.value for ps in PANEL_LAWS])
+    def test_a_block_holds_at_most_two_draw_sized_arrays(self, ps):
+        # |X - mu| is formed in the draws' own array, or in one float array
+        # for integer draws: 0.28-0.57 MiB, where three arrays took 0.75 MiB
+        mc_tail_call = (ps, 1.0, oracle._MC_BLOCK, 5)
+        ac.mc_tail(*mc_tail_call)
+        tracemalloc.start()
+        try:
+            ac.mc_tail(*mc_tail_call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * 8 * oracle._MC_BLOCK
+
     @pytest.mark.parametrize("ps", PANEL_LAWS + RAY_LAWS, ids=LAW_IDS)
     def test_sample_blocks_replay_one_array_and_its_end_state(self, ps):
         law, p = _valid_law(ps)
@@ -220,6 +234,11 @@ _IMPORT_PROBE = textwrap.dedent("""
     probe["witness_code"] = run("witness", "--family", "poisson", "--y", "1.0",
                                 "--epsilon", "1e-3")
     probe["after_witness"] = loaded()
+    probe["nb_tail_code"] = run("tail", "--family", "neg-binomial", "--params", sys.argv[3],
+                                "--y", "1.0")
+    probe["nb_witness_code"] = run("witness", "--family", "neg-binomial", "--y", "1.0",
+                                   "--epsilon", "1e-3")
+    probe["after_nb"] = loaded()
     probe["mc"] = repr(anticonc.mc_tail(anticonc.poisson(4.0), 1.0, 1000, seed=7))
     probe["after_mc"] = loaded()
     probe["value"] = anticonc.quad_student_cdf(5, 1.3)
@@ -230,14 +249,18 @@ _IMPORT_PROBE = textwrap.dedent("""
 
 def test_numpy_and_scipy_load_with_their_first_use_only():
     src = Path(ac.__file__).resolve().parent.parent
-    params = json.dumps(dict(_FAMILIES[ac.FamilyId.POISSON].panel.params))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), params],
+    params = [json.dumps(dict(_FAMILIES[family].panel.params))
+              for family in (ac.FamilyId.POISSON, ac.FamilyId.NEG_BINOMIAL)]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), *params],
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout)
     none = {"numpy": [], "scipy": [], "concurrent": []}
     assert probe["after_parser"] == none
     assert probe["tail_code"] == 0 and probe["after_tail"] == none
     assert probe["witness_code"] == 0 and probe["after_witness"] == none
+    # the negative binomial's incomplete-beta tails are pure math too
+    assert probe["nb_tail_code"] == 0 and probe["nb_witness_code"] == 0
+    assert probe["after_nb"] == none
     assert "numpy.random" in probe["after_mc"]["numpy"] and probe["after_mc"]["scipy"] == []
     # a one-block call counts in the caller's thread
     assert probe["after_mc"]["concurrent"] == []

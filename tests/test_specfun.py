@@ -16,12 +16,16 @@ from scipy import special as sps
 from anticonc import specfun
 from anticonc.errors import ConvergenceError, DomainError, InternalError
 from anticonc.specfun import (
+    bd0,
     clamp_probability,
     gauss_2f1,
+    log_beta_front,
     log_gamma,
+    log_gamma_front,
     reg_inc_beta,
     reg_inc_gamma_lower,
     std_normal_cdf,
+    stirlerr,
 )
 
 
@@ -218,6 +222,84 @@ class TestIncompleteBeta:
 
     def test_a_plus_b_of_1e6_still_takes_its_front_from_log_gamma(self):
         assert reg_inc_beta(0.5, 5e5, 5e5) == pytest.approx(0.5, abs=1e-9)
+
+
+def _stirlerr_mp(n):
+    n = mpmath.mpf(n)
+    return mpmath.loggamma(n + 1) - (n + 0.5) * mpmath.log(n) + n - mpmath.log(2 * mpmath.pi) / 2
+
+
+class TestLoaderFrontFactor:
+    @pytest.mark.parametrize("n", [1.0, 2.0, 3.0, 7.0, 15.0, 16.0, 17.0, 100.0, 1e4, 1e9, 1e15,
+                                   0.5, 2.5, 14.5, 15.5, 100.5, 1e6 + 0.5,
+                                   1e-3, 0.037, 0.61, 1.3, 3.3, 9.99, 14.99, 15.01, 27.3, 86.2,
+                                   205.9, 6180.5e3, 2.2e7, 3.7e12])
+    def test_stirlerr_matches_mpmath(self, n):
+        # past 15 Stirling's series, up to 15 a table at half-integers and
+        # math.lgamma less the logs elsewhere, which cancel to 7e-15 absolute
+        with mpmath.workdps(50):
+            want = _stirlerr_mp(n)
+        got = stirlerr(n)
+        if n > 15.0 or (2 * n).is_integer():
+            assert abs(got - want) <= 1e-15 * want
+        else:
+            assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("x", [1e-3, 0.8, 7.5, 1e3, 1e8, 1e15])
+    @pytest.mark.parametrize("ratio", [0.9, 0.95, 0.999999, 1.0, 1.000001, 1.05, 1.1,
+                                       1e-3, 0.5, 2.0, 1e3])
+    def test_bd0_matches_mpmath(self, x, ratio):
+        # x log(x/m) + m - x, with m = x / ratio
+        m = x / ratio
+        with mpmath.workdps(50):
+            mx, mm = mpmath.mpf(x), mpmath.mpf(m)
+            want = mx * mpmath.log(mx / mm) + mm - mx
+        assert abs(bd0(x, m) - want) <= 5e-15 * want
+
+    def test_bd0_keeps_the_digits_the_direct_form_cancels(self):
+        x, m = 1e15, 1e15 / 1.000001
+        with mpmath.workdps(50):
+            mx, mm = mpmath.mpf(x), mpmath.mpf(m)
+            want = mx * mpmath.log(mx / mm) + mm - mx
+        direct = x * math.log(x / m) + m - x
+        assert abs(direct - want) > 1e-9 * want
+        assert abs(bd0(x, m) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("a,x", [(1.0, 1e-300), (3.0, 2.0), (0.01, 5.0), (40.5, 39.0),
+                                     (1e4, 1.01e4), (1e8 + 1e5, 1e8)])
+    def test_gamma_front_matches_mpmath(self, a, x):
+        with mpmath.workdps(50):
+            ma, mx = mpmath.mpf(a), mpmath.mpf(x)
+            want = ma * mpmath.log(mx) - mx - mpmath.loggamma(ma)
+        assert abs(log_gamma_front(a, x) - want) <= 1e-15 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a,b,x", [(1.0, 1.0, 0.3), (2.0, 3.0, 0.3), (2.5, 0.5, 0.99),
+                                       (1000.0, 97428.0, 0.01), (1e5, 100.0, 0.999),
+                                       (1e-3, 7.0, 1e-5)])
+    def test_beta_front_matches_mpmath(self, a, b, x):
+        y = 1.0 - x
+        with mpmath.workdps(50):
+            ma, mb, mx, my = (mpmath.mpf(v) for v in (a, b, x, y))
+            want = ma * mpmath.log(mx) + mb * mpmath.log(my) - mpmath.log(mpmath.beta(ma, mb))
+            # the deviance form adds (a + b)(1 - x - y), where the doubles x and
+            # y = 1.0 - x need not sum to 1
+            want += (ma + mb) * (1 - mx - my)
+        assert abs(log_beta_front(a, b, x, y) - want) <= 1e-15 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a,b,x", [(2.0, 3.0, 0.3), (1e5, 100.0, 0.9991), (0.5, 40.0, 0.01),
+                                       (7.0, 0.3, 0.97), (1.0, 2.5, 0.2), (3.5, 1.0, 0.6)])
+    def test_beta_tails_are_complements_matching_scipy(self, a, b, x):
+        lower, upper = specfun._beta_tails(x, 1.0 - x, a, b)
+        assert lower + upper == pytest.approx(1.0, abs=2e-16)
+        assert lower == pytest.approx(float(sps.betainc(a, b, x)), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("a,x", [(1.0, 1e-20), (1.0, 3.0), (5.0, 2.0), (40.0, 55.0),
+                                     (1e6, 1e6 + 2e3)])
+    def test_gamma_tails_are_complements_matching_scipy(self, a, x):
+        lower, upper = specfun._gamma_tails(a, x)
+        assert lower + upper == pytest.approx(1.0, abs=2e-16)
+        assert lower == pytest.approx(float(sps.gammainc(a, x)), rel=1e-13, abs=1e-15)
+        assert upper == pytest.approx(float(sps.gammaincc(a, x)), rel=1e-13, abs=1e-15)
 
 
 class TestStdNormalCdf:
