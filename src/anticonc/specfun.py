@@ -9,25 +9,33 @@ functions, so they are written by hand with explicit
 tolerances rather than delegated; the test suite cross-checks them
 against independent oracles.
 
+The incomplete gamma, `_inc_gamma`, has three routes.  Where a >= 100 and
+|x - a| <= 0.3 a it is Temme's uniform expansion (N. M. Temme, SIAM J.
+Math. Anal. 10, 1979, in the form of DiDonato and Morris, ACM TOMS 12,
+1986): a fixed number of terms at any a, and no front factor.  Elsewhere
+it forms the front factor x^a e^-x / Gamma(a) and sums a power series for
+P below x = a + 1 or a continued fraction for Q above it; where the
+factor underflows, the value is 0 and nothing is summed.
+
 The Poisson and negative-binomial tails take both values of an
-incomplete function at once, from `_gamma_tails` and `_beta_tails`: the
-value that a series or continued fraction yields directly, and the other
-as one minus it.  Their front factors, x^a e^-x / Gamma(a) and
-x^a (1-x)^b / B(a, b), come from the deviance form of C. Loader (Fast and
-Accurate Computation of Binomial Probabilities, 2000), `stirlerr` plus
-`bd0`, which cancels no large logarithms, and their incomplete beta
-takes the continued fraction BFRAC of DiDonato and Morris (ACM TOMS 708,
-1992).  `reg_inc_gamma_lower` shares the incomplete-gamma core with a
-front factor from log_gamma, and `reg_inc_beta` keeps its own front and
-fraction, so the values of the gamma, beta and Student's-t families do
-not depend on that route.
+incomplete function at once, from `_gamma_tails` and `_beta_tails`; off
+the Temme band one is summed and the other is one minus it.  Their front
+factors, x^a e^-x / Gamma(a) and x^a (1-x)^b / B(a, b), come from the
+deviance form of C. Loader (Fast and Accurate Computation of Binomial
+Probabilities, 2000), `stirlerr` plus `bd0`, which cancels no large
+logarithms, and their incomplete beta takes the continued fraction BFRAC
+of DiDonato and Morris (ACM TOMS 708, 1992).  `reg_inc_gamma_lower`
+shares the incomplete-gamma core, with a front factor from log_gamma off
+the Temme band, and `reg_inc_beta` keeps its own front and fraction, so
+the values of the beta and Student's-t families do not depend on that
+route.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError, InternalError
 
@@ -178,18 +186,100 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     return (1.0 - z) ** (-lo) * _series_2f1(lo, c - hi, c, w)
 
 
-_IG_MAX_ITER = 10**6
+# Off the Temme band the series took at most 99 steps and the fraction 99
+# (near x = 1 at a tiny a) in a scan of a from 1e-307 to 1e6; the cap is ten
+# times that, so a call that cannot converge fails in well under a millisecond.
+_IG_MAX_ITER = 1000
+_IG_TINY_A = 1e-307
 _IG_EPS = 1e-16
 _FPMIN = 1e-300
 
+# Temme's uniform expansion (N. M. Temme, SIAM J. Math. Anal. 10, 1979; the
+# form of DiDonato and Morris, ACM TOMS 12, 1986) takes P and Q where
+# a >= _TEMME_MIN_A and |x - a| <= _TEMME_SIGMA a.  Row k holds the Taylor
+# coefficients of c_k(eta), k = 0..6: c_0 = 1/(lambda - 1) - 1/eta and
+# c_k = c'_(k-1)/eta + (-1)^k g_k/(lambda - 1), with lambda = x/a and g_k
+# Stirling's 1/12, 1/288, -139/51840, ...  Over the band and every a >= 100,
+# the terms left out (the rest of each row to order 30, and rows 7 to 9) sum
+# to under 1e-17 of the smaller of P and Q.
+_TEMME_MIN_A = 100.0
+_TEMME_SIGMA = 0.3
+_TEMME = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+     0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
+     -2.185448510679992e-06, -1.85406221071516e-06, 8.296711340953087e-07,
+     -1.7665952736826078e-07, 6.707853543401498e-09, 1.0261809784240309e-08,
+     -4.382036018453353e-09, 9.14769958223679e-10),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05),
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045),
+)
 
-def _inc_gamma(a: float, x: float, log_front: float) -> tuple[float, float]:
-    """(P(a, x), Q(a, x)) for a, x > 0, given log(x^a e^-x / Gamma(a)).
 
-    Power series for P where x < a + 1, Lentz continued fraction for Q
-    otherwise; the other value is one minus the one computed.
+def _temme(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) = (erfc(-z)/2 - R, erfc(z)/2 + R) for a >= 100 and
+    |x - a| <= 0.3 a, with z = eta sqrt(a/2), a eta^2/2 = bd0(a, x), eta
+    signed like x - a, and R = e^(-a eta^2/2) / sqrt(2 pi a) sum_k c_k(eta) a^-k.
+
+    R is negative across the band and at most 0.18 of erfc(|z|)/2, so
+    neither value loses a bit to cancellation, and neither is formed as one
+    minus the other.
     """
-    front = math.exp(log_front) if log_front > -745.0 else 0.0
+    dev = bd0(a, x)
+    eta = math.copysign(math.sqrt(2.0 * dev / a), x - a)
+    u = 1.0 / a
+    total = 0.0
+    for row in reversed(_TEMME):
+        c = 0.0
+        for d in reversed(row):
+            c = c * eta + d
+        total = total * u + c
+    r = math.exp(-dev) / math.sqrt(2.0 * math.pi * a) * total
+    z = eta * math.sqrt(0.5 * a)
+    return 0.5 * math.erfc(-z) - r, 0.5 * math.erfc(z) + r
+
+
+def _inc_gamma(a: float, x: float,
+               log_front: Callable[[float, float], float]) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for a, x > 0; log_front(a, x) is log(x^a e^-x / Gamma(a)).
+
+    Three routes.  Where a >= 100 and |x - a| <= 0.3 a it is Temme's uniform
+    expansion, _temme, in constant time and with no front factor: against
+    40-digit mpmath it is within 1.2e-16 for a from 10^2 to 10^15.  Elsewhere
+    the front factor is formed, and the value is a power series for P where
+    x < a + 1 and Lentz's continued fraction for Q otherwise, the other value
+    being one minus it; each takes at most about 100 steps there, and where
+    the front underflows, the value is 0 and nothing is summed.  Below
+    a = 1e-307 P is 1 in doubles.
+    """
+    if a < _IG_TINY_A:
+        # the series would start at 1/a, past a double; Q(a, x) is about
+        # a E_1(x), below 1e-304 at every double x > 0
+        return 1.0, 0.0
+    if a >= _TEMME_MIN_A and abs(x - a) <= _TEMME_SIGMA * a:
+        return _temme(a, x)
+    lf = log_front(a, x)
+    if not lf > -745.0:
+        # exp(lf) underflows to 0.0, and so does the front times any sum.  lf
+        # is nan only where a log x and log_gamma(a) both overflow, from
+        # a = 2.5e305, and off the band the front is below e^(-a/27) there
+        return (0.0, 1.0) if x < a + 1.0 else (1.0, 0.0)
+    front = math.exp(lf)
     if x < a + 1.0:
         # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a (a+1) ... (a+n))
         term = 1.0 / a
@@ -232,12 +322,18 @@ def _inc_gamma(a: float, x: float, log_front: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
+def _lanczos_gamma_front(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)) with Gamma(a) from log_gamma."""
+    return a * math.log(x) - x - log_gamma(a)
+
+
 def reg_inc_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
 
-    Power series for x < a + 1, Lentz continued fraction for the upper
-    tail otherwise, with the front factor from log_gamma; absolute error
-    below 1e-12.
+    _inc_gamma's routes: on the Temme band (a >= 100, |x - a| <= 0.3 a) no
+    front factor and an error within 1.2e-16; off it the series or the
+    fraction behind a front factor from log_gamma, with absolute error below
+    1e-12.
     """
     if not (_is_number(a) and a > 0.0):
         raise DomainError(f"reg_inc_gamma_lower requires a > 0, got a={a!r}")
@@ -245,7 +341,7 @@ def reg_inc_gamma_lower(a: float, x: float) -> float:
         raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got x={x!r}")
     if x == 0.0:
         return 0.0
-    return _inc_gamma(a, x, a * math.log(x) - x - log_gamma(a))[0]
+    return _inc_gamma(a, x, _lanczos_gamma_front)[0]
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -434,7 +530,10 @@ def bd0(x: float, m: float) -> float:
     keeps the digits the direct form cancels near x = m.  Loader switches
     at (x + m)/10, where the direct form still cancels 9 digits in 10;
     from (x + m)/4 it cancels at most 4 in 5, for at most 13 series terms.
+    Where x + m passes a double it is twice bd0(x/2, m/2).
     """
+    if x + m == math.inf:
+        return 2.0 * bd0(0.5 * x, 0.5 * m)
     if abs(x - m) < 0.25 * (x + m):
         v = (x - m) / (x + m)
         s = (x - m) * v
@@ -474,11 +573,12 @@ def log_beta_front(a: float, b: float, x: float, y: float) -> float:
 
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    """(P(a, x), Q(a, x)) for a, x > 0, with the front factor from
-    log_gamma_front; at a = 1 they are 1 - e^-x and e^-x."""
+    """(P(a, x), Q(a, x)) for a, x > 0: _inc_gamma's routes, Temme's
+    expansion on its band and elsewhere the series or the fraction behind a
+    front factor from log_gamma_front; at a = 1 they are 1 - e^-x and e^-x."""
     if a == 1.0:
         return -math.expm1(-x), math.exp(-x)
-    return _inc_gamma(a, x, log_gamma_front(a, x))
+    return _inc_gamma(a, x, log_gamma_front)
 
 
 def _beta_tails(x: float, y: float, a: float, b: float) -> tuple[float, float]:

@@ -231,6 +231,10 @@ _IMPORT_PROBE = textwrap.dedent("""
     probe["tail_code"] = run("tail", "--family", "poisson", "--params", sys.argv[2],
                              "--y", "1.0")
     probe["after_tail"] = loaded()
+    # Poisson(1e8) takes its tails from Temme's expansion, pure math too
+    probe["large_tail_code"] = run("tail", "--family", "poisson", "--params",
+                                   '{"lambda": 1e8}', "--y", "1.0")
+    probe["after_large_tail"] = loaded()
     probe["witness_code"] = run("witness", "--family", "poisson", "--y", "1.0",
                                 "--epsilon", "1e-3")
     probe["after_witness"] = loaded()
@@ -257,6 +261,7 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
     none = {"numpy": [], "scipy": [], "concurrent": []}
     assert probe["after_parser"] == none
     assert probe["tail_code"] == 0 and probe["after_tail"] == none
+    assert probe["large_tail_code"] == 0 and probe["after_large_tail"] == none
     assert probe["witness_code"] == 0 and probe["after_witness"] == none
     # the negative binomial's incomplete-beta tails are pure math too
     assert probe["nb_tail_code"] == 0 and probe["nb_witness_code"] == 0

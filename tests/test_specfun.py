@@ -7,6 +7,7 @@ form is not available by hand.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -256,6 +257,15 @@ class TestLoaderFrontFactor:
             want = mx * mpmath.log(mx / mm) + mm - mx
         assert abs(bd0(x, m) - want) <= 5e-15 * want
 
+    @pytest.mark.parametrize("x,m", [(1.7e308, 1e308), (1e308, 1.7e308), (1.7e308, 1.6e308),
+                                     (1.79e308, 1.79e308)])
+    def test_bd0_past_the_double_range_of_x_plus_m(self, x, m):
+        # x + m overflows; the series once looped on nan there
+        with mpmath.workdps(50):
+            mx, mm = mpmath.mpf(x), mpmath.mpf(m)
+            want = mx * mpmath.log(mx / mm) + mm - mx
+        assert abs(bd0(x, m) - want) <= 5e-15 * want
+
     def test_bd0_keeps_the_digits_the_direct_form_cancels(self):
         x, m = 1e15, 1e15 / 1.000001
         with mpmath.workdps(50):
@@ -300,6 +310,84 @@ class TestLoaderFrontFactor:
         assert lower + upper == pytest.approx(1.0, abs=2e-16)
         assert lower == pytest.approx(float(sps.gammainc(a, x)), rel=1e-13, abs=1e-15)
         assert upper == pytest.approx(float(sps.gammaincc(a, x)), rel=1e-13, abs=1e-15)
+
+
+def temme_coefficients(rows, cols):
+    """(mu, g, c): lambda - 1 = mu(eta) to order cols + 2 rows, the
+    pole-cancelling constants g_1..g_(rows-1), and the first cols Taylor
+    coefficients of Temme's c_0..c_(rows-1), all in exact rationals.
+
+    mu reverts eta^2/2 = mu - log(1 + mu) with mu ~ eta; differentiating
+    gives mu mu' = eta (1 + mu), which fixes each coefficient in turn.
+    c_0 = 1/mu - 1/eta and c_k = c'_(k-1)/eta + (-1)^k g_k/mu, where g_k is
+    the constant that leaves c_k without a 1/eta pole.
+    """
+    n = cols + 2 * rows
+    mu = [Fraction(0), Fraction(1)]
+    for m in range(2, n + 2):
+        known = sum(mu[i] * (m + 1 - i) * mu[m + 1 - i] for i in range(2, m))
+        mu.append((mu[m - 1] - known) / (m + 1))
+    # eta/mu = 1/(1 + mu_2 eta + mu_3 eta^2 + ...)
+    eta_over_mu = [Fraction(1)]
+    for m in range(1, n + 1):
+        eta_over_mu.append(-sum(mu[j + 1] * eta_over_mu[m - j] for j in range(1, m + 1)))
+    c = eta_over_mu[1:]  # (eta/mu - 1)/eta
+    table, g = [c[:cols]], []
+    for k in range(1, rows):
+        dc = [j * c[j] for j in range(1, len(c))]
+        g.append((-1) ** (k + 1) * dc[0])
+        c = [dc[j] + (-1) ** k * g[-1] * eta_over_mu[j] for j in range(1, len(dc))]
+        table.append(c[:cols])
+    return mu, g, table
+
+
+class TestTemmeTable:
+    def test_the_reversion_solves_eta_squared_over_two(self):
+        mu, _, _ = temme_coefficients(1, 20)
+        assert mu[:6] == [0, 1, Fraction(1, 3), Fraction(1, 36), Fraction(-1, 270),
+                          Fraction(1, 4320)]
+        # log(1 + mu) from (1 + mu) L' = mu', then mu - L = eta^2/2 term by term
+        log1p = [Fraction(0)]
+        for m in range(len(mu) - 1):
+            known = sum((mu[i] * (m + 1 - i) * log1p[m + 1 - i] for i in range(1, m + 1)),
+                        Fraction(0))
+            log1p.append(mu[m + 1] - known / (m + 1))
+        assert [u - v for u, v in zip(mu, log1p)] == [0, 0, Fraction(1, 2)] + [0] * (len(mu) - 3)
+
+    def test_the_pole_cancelling_constants_are_stirlings(self):
+        # Gamma*(a) = 1 + 1/(12a) + 1/(288a^2) - 139/(51840a^3) - ...
+        _, g, _ = temme_coefficients(4, 1)
+        assert g == [Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840)]
+
+    def test_every_literal_is_its_exact_coefficient_to_an_ulp(self):
+        _, _, exact = temme_coefficients(len(specfun._TEMME), len(specfun._TEMME[0]))
+        assert exact[0][:3] == [Fraction(-1, 3), Fraction(1, 12), Fraction(-2, 135)]
+        for row, want_row in zip(specfun._TEMME, exact):
+            for got, want in zip(row, want_row):
+                assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want)))
+
+    @pytest.mark.parametrize("a", [100.0, 1e3, 1e5])
+    def test_the_terms_left_out_are_below_1e_17_of_the_tail(self, a):
+        # against the expansion to order 30 in eta and a^-9, over the band
+        # |x - a| <= 0.3 a
+        _, _, full = temme_coefficients(10, 30)
+        kept = specfun._TEMME
+        lo = -math.sqrt(2.0 * (-0.3 - math.log(0.7)))
+        hi = math.sqrt(2.0 * (0.3 - math.log(1.3)))
+        eta = np.linspace(lo, hi, 1001)
+        whole = np.zeros_like(eta)
+        omitted = np.zeros_like(eta)
+        for k, row in enumerate(full):
+            start = len(kept[k]) if k < len(kept) else 0
+            for n, d in enumerate(row):
+                term = float(d) * eta ** n * a ** -k
+                whole += term
+                if n >= start:
+                    omitted += term
+        front = np.exp(-0.5 * a * eta ** 2) / math.sqrt(2.0 * math.pi * a)
+        z = eta * math.sqrt(0.5 * a)
+        smaller = np.minimum(0.5 * sps.erfc(-z) - front * whole, 0.5 * sps.erfc(z) + front * whole)
+        assert np.all(np.abs(omitted) * front <= 1e-17 * smaller)
 
 
 class TestStdNormalCdf:
