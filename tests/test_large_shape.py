@@ -114,13 +114,14 @@ def _tail_mp(ps, y):
     m = ac.moments(ps)
     half = y * math.sqrt(m.variance)
     lo, hi = m.mean - half, m.mean + half
-    if ps.family is ac.FamilyId.GAMMA:
-        p_lo, p_hi = gamma_lower_mp(ps.params["alpha"], [lo, hi])
-        return p_lo + 1 - p_hi
-    # P(X <= k) = Q(k + 1, lambda) and P(X >= k') = P(k', lambda)
-    lam = ps.params["lambda"]
-    k, k_up = math.floor(lo), math.ceil(hi)
-    return 1 - gamma_lower_mp(k + 1.0, [lam])[0] + gamma_lower_mp(float(k_up), [lam])[0]
+    with mpmath.workdps(DIGITS):
+        if ps.family is ac.FamilyId.GAMMA:
+            p_lo, p_hi = gamma_lower_mp(ps.params["alpha"], [lo, hi])
+            return p_lo + 1 - p_hi
+        # P(X <= k) = Q(k + 1, lambda) and P(X >= k') = P(k', lambda)
+        lam = ps.params["lambda"]
+        k, k_up = math.floor(lo), math.ceil(hi)
+        return 1 - gamma_lower_mp(k + 1.0, [lam])[0] + gamma_lower_mp(float(k_up), [lam])[0]
 
 
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 10.0])
