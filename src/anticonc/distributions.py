@@ -11,12 +11,13 @@ per-family table beside the paper's four closed forms.  No parameter
 moves a uniform, exponential or Gaussian standardized tail, so those
 are the paper's closed forms in y alone.  Other tails come from CDF and
 survival pairs (special functions where needed; the Student's t CDF, in
-hypergeometric form, sits beside its record).  The Poisson and negative
-binomial are such pairs on the lattice: each outer tail is a regularized
-incomplete gamma or beta value, taken directly rather than as one minus
-the rest.  The binomial and hypergeometric laws, whose support is
-bounded, take their tails as exact complements of an interior pmf sum
-evaluated in log space.  Such a record hands the sum its log pmfs as one
+hypergeometric form, sits beside its record).  The gamma, beta, Poisson
+and negative binomial take both sides of each pair from specfun's one
+incomplete-gamma or incomplete-beta core (`_gamma_tails`, `_beta_tails`),
+each side directly rather than as one minus the other, the Poisson and
+negative binomial on the lattice.  The binomial and hypergeometric laws,
+whose support is bounded, take their tails as exact complements of an
+interior pmf sum evaluated in log space.  Such a record hands the sum its log pmfs as one
 iterator over consecutive k from the first k summed; the sum stops it at
 its last k and never advances it further, so a record may step its terms
 from one k to the next (the hypergeometric steps its binomial
@@ -39,14 +40,14 @@ from .errors import DomainError, InternalError
 from .specfun import (
     _DOUBLE_MAX,
     _beta_tails,
+    _check_inc_beta_shapes,
     _gamma_tails,
+    _inc_beta,
     _is_number,
     clamp_probability,
     gauss_2f1,
     log_gamma,
     log_gamma_half_ratio,
-    reg_inc_beta,
-    reg_inc_gamma_lower,
     std_normal_cdf,
 )
 
@@ -337,15 +338,16 @@ class Family:
     instead their standardized tail in y alone, which no parameter
     moves.  Weibull and log-normal moments overflow a double far along
     their witness rays, so those two give log-moments and both tails at
-    e^u instead of the survival function.  The Poisson and negative
-    binomial give P(X <= x) and P(X >= x) too, as incomplete gamma and
-    beta values at floor(x) and ceil(x).  The binomial and hypergeometric
-    give their bounded integer support and `log_pmfs(p, k0)`, an iterator
-    over log pmf(k0), log pmf(k0 + 1), ... that the caller never advances
-    past its last k.  Each function sees the parameters typed once:
-    integer fields as int, the rest as float.  `sample` draws variate by
-    variate, so draws made in blocks replay one array of the same total,
-    bit for bit.
+    e^u instead of the survival function.  The gamma and beta take
+    P(X <= x) and P(X >= x) as the two values of one incomplete gamma or
+    beta at x, and the Poisson and negative binomial as incomplete gamma
+    and beta values at floor(x) and ceil(x).  The binomial and
+    hypergeometric give their bounded integer support and
+    `log_pmfs(p, k0)`, an iterator over log pmf(k0), log pmf(k0 + 1), ...
+    that the caller never advances past its last k.  Each function sees
+    the parameters typed once: integer fields as int, the rest as float.
+    `sample` draws variate by variate, so draws made in blocks replay one
+    array of the same total, bit for bit.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the
@@ -466,12 +468,15 @@ def student_t_cdf(n: int, x: float) -> float:
     straight from the incomplete beta (the layout of Cephes stdtr): its
     cost does not grow with |x| and it loses no digits in the far tail.
     Both routes take log Gamma((n+1)/2) - log Gamma(n/2) from
-    log_gamma_half_ratio, and the beta route passes reg_inc_beta its own
-    log front factor, with (n/2) log z = -(n/2) log1p(x^2/n) and
-    1 - z = x^2/(n + x^2) taken from x rather than from z.  The series
-    result is clamped to [0, 1] (its rounding can stray an ulp outside).
-    The beta route holds its 1e-12 bound only up to n = 10**6 and refuses
-    a larger n with DomainError.
+    log_gamma_half_ratio.  The beta route passes specfun's incomplete-beta
+    core, _inc_beta, its own log front factor, with
+    (n/2) log z = -(n/2) log1p(x^2/n), and 1 - z = x^2/(n + x^2), both
+    taken from x rather than from z; the Loader front factor of _beta_tails
+    lost a digit in the far tail (t(5) at y = 100: 3.8e-15 relative against
+    5e-16).  Where x^2 overflows a double, z is 0 and so is the tail.  The
+    series result is clamped to [0, 1] (its rounding can stray an ulp
+    outside).  The beta route holds its 1e-12 bound only up to n = 10**6
+    and refuses a larger n with DomainError.
     """
     n = _check_dof(n, 1)
     x = _check_x(x)
@@ -483,9 +488,13 @@ def student_t_cdf(n: int, x: float) -> float:
         if n > _T_TAIL_MAX_DOF:
             raise DomainError(f"student_t_cdf's incomplete-beta route (x^2 > {_T_TAIL_X2:g}) "
                               f"requires n <= 10**6, got n={n} at x={x!r}")
-        log_front = (log_gamma_half_ratio(half_n) - 0.5 * math.log(math.pi)  # -log B(n/2, 1/2)
-                     - half_n * math.log1p(x2 / n) + 0.5 * math.log(x2 / (n + x2)))
-        tail = 0.5 * reg_inc_beta(n / (n + x2), half_n, 0.5, log_front=log_front)
+        if x2 == math.inf:
+            tail = 0.0  # z = n/(n + x^2) is 0
+        else:
+            y = x2 / (n + x2)
+            log_front = (log_gamma_half_ratio(half_n) - 0.5 * math.log(math.pi)  # -log B(n/2, 1/2)
+                         - half_n * math.log1p(x2 / n) + 0.5 * math.log(y))
+            tail = 0.5 * _inc_beta(n / (n + x2), y, half_n, 0.5, log_front)[0]
         return tail if x < 0.0 else 1.0 - tail
     coeff = math.exp(log_gamma_half_ratio(half_n) - 0.5 * math.log(n * math.pi))
     hyp = gauss_2f1(0.5, (n + 1) / 2.0, 1.5, -x2 / n)
@@ -651,23 +660,14 @@ def _beta_moments(p: _Params) -> Moments:
     return Moments(pp / s, num / den)
 
 
-def _beta_cdf(p: _Params, x: float) -> float:
+def _beta_sides(p: _Params, x: float) -> tuple[float, float]:
+    """(P(X <= x), P(X >= x)), each side taken directly, not as one minus the other."""
+    _check_inc_beta_shapes(p["p"], p["q"])
     if x <= 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x >= 1.0:
-        return 1.0
-    return reg_inc_beta(x, p["p"], p["q"])
-
-
-def _beta_survival(p: _Params, x: float) -> float:
-    if x <= 0.0:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    if 1.0 - x == 1.0:
-        # x is lost in 1 - x: complement the lower tail instead
-        return 1.0 - reg_inc_beta(x, p["p"], p["q"])
-    return reg_inc_beta(1.0 - x, p["q"], p["p"])
+        return 1.0, 0.0
+    return _beta_tails(x, 1.0 - x, p["p"], p["q"])
 
 
 _FAMILIES: dict[FamilyId, Family] = {
@@ -758,9 +758,8 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=gamma_family(2.5, 1.5),
         grid=GridSpec({"alpha": GridAxis(1e-6, 1e2, 120, "logarithmic")}, {"beta": 1.0}),
         ray=_Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0"),
-        cdf=lambda p, x: 0.0 if x <= 0.0 else reg_inc_gamma_lower(p["alpha"], x / p["beta"]),
-        survival=lambda p, x: (1.0 if x <= 0.0
-                               else 1.0 - reg_inc_gamma_lower(p["alpha"], x / p["beta"]))),
+        cdf=lambda p, x: 0.0 if x <= 0.0 else _gamma_tails(p["alpha"], x / p["beta"])[0],
+        survival=lambda p, x: 1.0 if x <= 0.0 else _gamma_tails(p["alpha"], x / p["beta"])[1]),
     FamilyId.PARETO: Family(
         fields=("r", "A"),
         check=_require((lambda p: p["r"] > 2, "r must exceed 2 for finite variance"),
@@ -800,7 +799,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=beta_family(2.0, 5.0),
         grid=GridSpec({"q": GridAxis(1e-6, 1.0, 100, "logarithmic")}, {"p": 1.0}),
         ray=_Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0"),
-        cdf=_beta_cdf, survival=_beta_survival),
+        cdf=lambda p, x: _beta_sides(p, x)[0], survival=lambda p, x: _beta_sides(p, x)[1]),
 }
 
 

@@ -9,33 +9,31 @@ functions, so they are written by hand with explicit
 tolerances rather than delegated; the test suite cross-checks them
 against independent oracles.
 
-The incomplete gamma, `_inc_gamma`, has three routes.  Where a >= 100 and
-|x - a| <= 0.3 a it is Temme's uniform expansion (N. M. Temme, SIAM J.
-Math. Anal. 10, 1979, in the form of DiDonato and Morris, ACM TOMS 12,
-1986): a fixed number of terms at any a, and no front factor.  Elsewhere
-it forms the front factor x^a e^-x / Gamma(a) and sums a power series for
-P below x = a + 1 or a continued fraction for Q above it; where the
-factor underflows, the value is 0 and nothing is summed.
-
-The Poisson and negative-binomial tails take both values of an
-incomplete function at once, from `_gamma_tails` and `_beta_tails`; off
-the Temme band one is summed and the other is one minus it.  Their front
-factors, x^a e^-x / Gamma(a) and x^a (1-x)^b / B(a, b), come from the
-deviance form of C. Loader (Fast and Accurate Computation of Binomial
-Probabilities, 2000), `stirlerr` plus `bd0`, which cancels no large
-logarithms, and their incomplete beta takes the continued fraction BFRAC
-of DiDonato and Morris (ACM TOMS 708, 1992).  `reg_inc_gamma_lower`
-shares the incomplete-gamma core, with a front factor from log_gamma off
-the Temme band, and `reg_inc_beta` keeps its own front and fraction, so
-the values of the beta and Student's-t families do not depend on that
-route.
+Each incomplete function has one core and one front factor, and every
+family takes its values from it.  `_gamma_tails` gives P and Q of the
+incomplete gamma, from `_inc_gamma`: where a >= 100 and |x - a| <= 0.3 a
+it is Temme's uniform expansion (N. M. Temme, SIAM J. Math. Anal. 10,
+1979, in the form of DiDonato and Morris, ACM TOMS 12, 1986), a fixed
+number of terms at any a and no front factor; elsewhere it forms the
+front factor x^a e^-x / Gamma(a) and sums a power series for P below
+x = a + 1 or a continued fraction for Q above it, the other value being
+one minus it; where the factor underflows, the value is 0 and nothing is
+summed.  `_beta_tails` gives I_x(a, b) and I_y(b, a) with y = 1 - x, from
+closed forms at a or b = 1 and otherwise from `_inc_beta`: the
+continued fraction BFRAC of DiDonato and Morris (ACM TOMS 708, 1992)
+where a, b >= 1, and `_beta_cf` where min(a, b) < 1.  Both front factors,
+x^a e^-x / Gamma(a) and x^a (1-x)^b / B(a, b), come from the deviance form
+of C. Loader (Fast and Accurate Computation of Binomial Probabilities,
+2000), `stirlerr` plus `bd0`, which cancels no large logarithms.
+`reg_inc_gamma_lower` and `reg_inc_beta` are the checked public faces of
+the two cores.  The Student's-t CDF alone passes `_inc_beta` its own
+front factor, formed from x rather than from the rounded z = n/(n + x^2).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError, InternalError
 
@@ -98,16 +96,17 @@ def clamp_probability(p: float, *, context: str = "") -> float:
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 
-    Lanczos approximation with reflection below 0.5; relative error is
-    below 1e-13 across [1e-6, 1e6].
+    Lanczos approximation, taken below 0.5 as log Gamma(1 + x) - log x;
+    relative error is below 1e-13 across [5e-324, 1e6].
     """
     if not _is_number(x):
         raise DomainError(f"log_gamma requires a finite real, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     if x < 0.5:
-        # reflection keeps the Lanczos core on [0.5, inf)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
+        # keeps the Lanczos core on [1, 1.5]; the reflection formula divided
+        # by a subnormal sine and overflowed to inf below about 5.6e-309
+        return log_gamma(1.0 + x) - math.log(x)
     z = x - 1.0
     acc = _LANCZOS[0]
     for i in range(1, 9):
@@ -254,18 +253,17 @@ def _temme(a: float, x: float) -> tuple[float, float]:
     return 0.5 * math.erfc(-z) - r, 0.5 * math.erfc(z) + r
 
 
-def _inc_gamma(a: float, x: float,
-               log_front: Callable[[float, float], float]) -> tuple[float, float]:
-    """(P(a, x), Q(a, x)) for a, x > 0; log_front(a, x) is log(x^a e^-x / Gamma(a)).
+def _inc_gamma(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)) for a, x > 0.
 
     Three routes.  Where a >= 100 and |x - a| <= 0.3 a it is Temme's uniform
     expansion, _temme, in constant time and with no front factor: against
     40-digit mpmath it is within 1.2e-16 for a from 10^2 to 10^15.  Elsewhere
-    the front factor is formed, and the value is a power series for P where
-    x < a + 1 and Lentz's continued fraction for Q otherwise, the other value
-    being one minus it; each takes at most about 100 steps there, and where
-    the front underflows, the value is 0 and nothing is summed.  Below
-    a = 1e-307 P is 1 in doubles.
+    the front factor x^a e^-x / Gamma(a) comes from log_gamma_front, and the
+    value is a power series for P where x < a + 1 and Lentz's continued
+    fraction for Q otherwise, the other value being one minus it; each takes
+    at most about 100 steps there, and where the front underflows, the value
+    is 0 and nothing is summed.  Below a = 1e-307 P is 1 in doubles.
     """
     if a < _IG_TINY_A:
         # the series would start at 1/a, past a double; Q(a, x) is about
@@ -273,11 +271,9 @@ def _inc_gamma(a: float, x: float,
         return 1.0, 0.0
     if a >= _TEMME_MIN_A and abs(x - a) <= _TEMME_SIGMA * a:
         return _temme(a, x)
-    lf = log_front(a, x)
+    lf = log_gamma_front(a, x)
     if not lf > -745.0:
-        # exp(lf) underflows to 0.0, and so does the front times any sum.  lf
-        # is nan only where a log x and log_gamma(a) both overflow, from
-        # a = 2.5e305, and off the band the front is below e^(-a/27) there
+        # exp(lf) underflows to 0.0, and so does the front times any sum
         return (0.0, 1.0) if x < a + 1.0 else (1.0, 0.0)
     front = math.exp(lf)
     if x < a + 1.0:
@@ -322,26 +318,17 @@ def _inc_gamma(a: float, x: float,
     return 1.0 - q, q
 
 
-def _lanczos_gamma_front(a: float, x: float) -> float:
-    """log(x^a e^-x / Gamma(a)) with Gamma(a) from log_gamma."""
-    return a * math.log(x) - x - log_gamma(a)
-
-
 def reg_inc_gamma_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
-
-    _inc_gamma's routes: on the Temme band (a >= 100, |x - a| <= 0.3 a) no
-    front factor and an error within 1.2e-16; off it the series or the
-    fraction behind a front factor from log_gamma, with absolute error below
-    1e-12.
-    """
+    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0: the P of
+    _gamma_tails, within 1.2e-16 on the Temme band (a >= 100,
+    |x - a| <= 0.3 a) and with absolute error below 1e-13 off it."""
     if not (_is_number(a) and a > 0.0):
         raise DomainError(f"reg_inc_gamma_lower requires a > 0, got a={a!r}")
     if not (_is_number(x) and x >= 0.0):
         raise DomainError(f"reg_inc_gamma_lower requires x >= 0, got x={x!r}")
     if x == 0.0:
         return 0.0
-    return _inc_gamma(a, x, _lanczos_gamma_front)[0]
+    return _gamma_tails(a, x)[0]
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -381,41 +368,36 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise ConvergenceError(f"incomplete-beta fraction stalled (a={a}, b={b}, x={x})")
 
 
-# log_gamma's accuracy is stated up to 1e6.  Past it the front factor from
-# three log_gamma values of size (a + b) log(a + b) cancels: against 60-digit
-# mpmath, beta tails were off by 9e-11 at beta(1e6, 1), 1e-7 at p + q = 1e8,
-# 2e-3 at 1e12 and by the whole tail at 1e20.
+# Past a + b = 1e6 the incomplete beta has no route that is both bounded and
+# accurate: BFRAC's steps grow like sqrt(a + b) (at a = b = 1e100 it stalls
+# into ConvergenceError after its 10^4), and the closed forms at a or b = 1
+# carry the rounding of x or 1 - x times the other shape: beta(1e8, 1) at
+# y = 0.5 is off by 4.9e-9, and beta(1, 1e20) gives 1.0 at y = 1, where the
+# tail is e^-2, and InternalError at y = 0.5.  Uniform asymptotic
+# expansions (BASYM, BGRAT of ACM TOMS 708) would lift it.
 _INC_BETA_MAX_AB = 1e6
 
 
-def reg_inc_beta(x: float, a: float, b: float, *, log_front: Optional[float] = None) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
+def _check_inc_beta_shapes(a: float, b: float) -> None:
+    """Refuse with DomainError a + b past _INC_BETA_MAX_AB."""
+    if a + b > _INC_BETA_MAX_AB:
+        raise DomainError(f"the incomplete beta is answered only for "
+                          f"a + b <= {_INC_BETA_MAX_AB:g}, got a={a!r}, b={b!r}")
 
-    log_front is log(x^a (1-x)^b / B(a, b)).  By default it is taken from
-    x and three log_gamma values, which only a + b <= 1e6 allows; a caller
-    that knows it more accurately (from an exact 1 - x, or a stable log B)
-    passes it in, for any a and b.
-    """
+
+def reg_inc_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 with a + b <= 1e6
+    and x in [0, 1]: the lower value of _beta_tails at x and 1 - x."""
     if not (_is_number(a) and a > 0.0 and _is_number(b) and b > 0.0):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a!r}, b={b!r}")
     if not (_is_number(x) and 0.0 <= x <= 1.0):
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got x={x!r}")
-    if log_front is None and a + b > _INC_BETA_MAX_AB:
-        raise DomainError(f"reg_inc_beta takes its front factor from log_gamma only for "
-                          f"a + b <= {_INC_BETA_MAX_AB:g}, got a={a!r}, b={b!r}")
+    _check_inc_beta_shapes(a, b)
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    if log_front is None:
-        log_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    bt = math.exp(log_front) if log_front > -745.0 else 0.0
-    if x < (a + 1.0) / (a + b + 2.0):
-        p = bt * _beta_cf(a, b, x) / a
-    else:
-        p = 1.0 - bt * _beta_cf(b, a, 1.0 - x) / b
-    return clamp_probability(p, context="reg_inc_beta")
+    return _beta_tails(x, 1.0 - x, a, b)[0]
 
 
 _BFRAC_MAX_ITER = 10**4
@@ -463,7 +445,8 @@ def _bfrac(a: float, b: float, x: float, y: float, lam: float) -> float:
 
 def _inc_beta(x: float, y: float, a: float, b: float, log_front: float) -> tuple[float, float]:
     """(I_x(a, b), I_y(b, a)) for a, b > 0 and 0 < x < 1 with y = 1 - x, given
-    log(x^a y^b / B(a, b)).
+    log(x^a y^b / B(a, b)): the incomplete-beta core, behind log_beta_front's
+    factor for _beta_tails and behind its own for student_t_cdf.
 
     One side is taken from a continued fraction and the other as one minus
     it.  For a, b >= 1 the fraction is _bfrac, on the side below the mean;
@@ -533,7 +516,8 @@ def bd0(x: float, m: float) -> float:
     Where x + m passes a double it is twice bd0(x/2, m/2).
     """
     if x + m == math.inf:
-        return 2.0 * bd0(0.5 * x, 0.5 * m)
+        # an infinite m is infinitely far from x: halving would never end
+        return 2.0 * bd0(0.5 * x, 0.5 * m) if m < math.inf else math.inf
     if abs(x - m) < 0.25 * (x + m):
         v = (x - m) / (x + m)
         s = (x - m) * v
@@ -573,20 +557,23 @@ def log_beta_front(a: float, b: float, x: float, y: float) -> float:
 
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    """(P(a, x), Q(a, x)) for a, x > 0: _inc_gamma's routes, Temme's
-    expansion on its band and elsewhere the series or the fraction behind a
-    front factor from log_gamma_front; at a = 1 they are 1 - e^-x and e^-x."""
+    """(P(a, x), Q(a, x)) for a, x > 0, every incomplete gamma value the
+    package uses: at a = 1 they are 1 - e^-x and e^-x, and elsewhere
+    _inc_gamma's routes, Temme's expansion on its band and off it the
+    series or the fraction behind log_gamma_front's factor."""
     if a == 1.0:
         return -math.expm1(-x), math.exp(-x)
-    return _inc_gamma(a, x, log_gamma_front)
+    return _inc_gamma(a, x)
 
 
 def _beta_tails(x: float, y: float, a: float, b: float) -> tuple[float, float]:
-    """(I_x(a, b), I_y(b, a)) for a, b > 0 and 0 < x < 1 with y = 1 - x, with
-    the front factor from log_beta_front; at b = 1 they are x^a and
-    1 - x^a, and at a = 1 they are 1 - y^b and y^b."""
+    """(I_x(a, b), I_y(b, a)) for a, b > 0 and 0 < x < 1 with y = 1 - x,
+    every incomplete beta value the package takes with the front factor of
+    log_beta_front: at b = 1 they are x^a and 1 - x^a (log x from y, or
+    from x where y rounds to 1), at a = 1 they are 1 - y^b and y^b, and
+    elsewhere _inc_beta's fractions."""
     if b == 1.0:
-        return x ** a, -math.expm1(a * math.log1p(-y))
+        return x ** a, -math.expm1(a * (math.log1p(-y) if y < 1.0 else math.log(x)))
     if a == 1.0:
         return -math.expm1(b * math.log1p(-x)), y ** b
     return _inc_beta(x, y, a, b, log_beta_front(a, b, x, y))

@@ -324,9 +324,9 @@ class TestStudentTTails:
         y = math.nextafter(ac.STUDENT_T_Y_MAX, 0.0)
 
         def no_beta(*args, **kwargs):
-            raise AssertionError("reg_inc_beta called on the curve")
+            raise AssertionError("the incomplete beta called on the curve")
 
-        monkeypatch.setattr(distributions, "reg_inc_beta", no_beta)
+        monkeypatch.setattr(distributions, "_inc_beta", no_beta)
         monkeypatch.setattr(ac.anticoncentration, "cutoff_dof", lambda y: 60)
         av = ac.a_student_t(y)
         assert av.detail.argmax_n == 3 and 3.0 * y * y < 4.5
@@ -378,6 +378,15 @@ class TestStudentTCurve:
             ac.a_student_t(ac.STUDENT_T_Y_MAX)
         with pytest.raises(DomainError):
             ac.a_student_t(1.3)
+
+
+def beta_ray_tail_at_60_digits(q, y):
+    """P(|X - mu| >= y sigma) of beta(1, q), from its CDF 1 - (1 - x)^q."""
+    with mpmath.workdps(60):
+        q, y = mpmath.mpf(q), mpmath.mpf(y)
+        mean, sd = 1 / (1 + q), mpmath.sqrt(q / ((1 + q) ** 2 * (2 + q)))
+        lo, hi = mean - y * sd, mean + y * sd
+        return (1 - (1 - lo) ** q if lo > 0 else 0) + ((1 - hi) ** q if hi < 1 else 0)
 
 
 class TestWitnesses:
@@ -446,6 +455,19 @@ class TestWitnesses:
         assert w.achieved_tail <= epsilon
         recomputed = ac.tail_probability(w.params, y).probability
         assert recomputed == w.achieved_tail
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
+    def test_beta_certificates_are_sound(self, y):
+        # the survival near x = 1 was one minus the lower tail, and 144 of
+        # these 225 certificates were false, each with achieved_tail 0.0
+        for k in range(4, 301, 4):
+            epsilon = 10.0 ** -k
+            try:
+                w = ac.witness_parameter("beta", y, epsilon)
+            except DomainError:
+                assert k > 28  # the ray's mean 1/(1 + q) rounds to 1
+                continue
+            assert beta_ray_tail_at_60_digits(w.params["q"], y) <= epsilon, k
 
     @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
                                               key=lambda f: f.value))

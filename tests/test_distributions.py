@@ -59,6 +59,35 @@ def beta_tail_at_50_digits(p, q, y):
         return float(cdf(lo) + 1 - cdf(hi))
 
 
+def inc_beta_below_the_mean(x, a, b):
+    """I_x(a, b) for x below a/(a + b), as x^a (1 - x)^b / (a B(a, b)) times
+    2F1(a + b, 1; a + 1; x) (DLMF 8.17.8), whose terms are all positive:
+    mpmath's betainc cancels its way to NoConvergence from beta(10^4, 10^4)."""
+    return (mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a * mpmath.beta(a, b)))
+            * mpmath.hyp2f1(a + b, 1, a + 1, x))
+
+
+def beta_family_tail_at_50_digits(p, q, y):
+    """P(|X - mu| >= y sigma) of beta(p, q) in 50-digit mpmath; the upper
+    side is I_(1 - hi)(q, p)."""
+    with mpmath.workdps(50):
+        p, q, y = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(y)
+        s = p + q
+        mean, sd = p / s, mpmath.sqrt(p * q / (s * s * (s + 1)))
+        lo, hi = mean - y * sd, mean + y * sd
+        return float((inc_beta_below_the_mean(lo, p, q) if lo > 0 else 0)
+                     + (inc_beta_below_the_mean(1 - hi, q, p) if hi < 1 else 0))
+
+
+def gamma_tail_at_50_digits(alpha, y):
+    """P(|X - mu| >= y sigma) of gamma(alpha, 1) in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        a, y = mpmath.mpf(alpha), mpmath.mpf(y)
+        lo, hi = a - y * mpmath.sqrt(a), a + y * mpmath.sqrt(a)
+        return float((mpmath.gammainc(a, 0, lo, regularized=True) if lo > 0 else 0)
+                     + mpmath.gammainc(a, hi, mpmath.inf, regularized=True))
+
+
 def outcome(fn, *args):
     """The repr of fn(*args), or the message of the DomainError it raises."""
     try:
@@ -444,6 +473,26 @@ class TestTailProbability:
             with pytest.raises(DomainError, match=r"a \+ b <= 1e\+06"):
                 ac.tail_probability(ac.beta_family(p, q), y)
 
+    @pytest.mark.parametrize("p,q", [(10.0 ** k, 10.0 ** k) for k in range(6)] + [
+        (3000.0, 3000.0), (0.3, 999.7), (1.0, 1e4), (2.0, 5.0)])
+    def test_beta_tail_panel_by_decades(self, p, q):
+        # the log_gamma front factor was off by 4.7e-12 at beta(3000, 3000),
+        # 1.3e-12 at beta(0.3, 999.7), 3.7e-12 at beta(1, 1e4) and 3.8e-10 at
+        # beta(1e5, 1e5)
+        for y in (0.5, 1.0, 2.0):
+            got = ac.tail_probability(ac.beta_family(p, q), y)
+            assert abs(got.probability - beta_family_tail_at_50_digits(p, q, y)) <= (
+                got.abs_error_bound)
+
+    def test_gamma_tail_panel_along_the_ray(self):
+        # down to alpha = 1e-16 the survival is one minus the series, and the
+        # front factor's log alpha costs a few ulps of 1 in both
+        for k in range(-64, 3):
+            alpha = 10.0 ** (k / 4) if k < 2 else 3.0
+            for y in (0.5, 1.0, 2.0):
+                got = ac.tail_probability(ac.gamma_family(alpha, 1.0), y).probability
+                assert abs(got - gamma_tail_at_50_digits(alpha, y)) <= 1e-14, (alpha, y)
+
     def test_tail_is_the_closed_form_for_every_law(self):
         # no parameter moves these standardized tails, so every law's tail
         # is A(y) bit for bit, whatever its location and scale
@@ -468,6 +517,12 @@ class TestTailProbability:
         # mu + y*sigma overflows while y*sigma = 1.7e308 is finite
         assert ac.tail_probability(ac.poisson(1e308), 1.7e154) == ac.TailResult(
             0.0, "special-function", 1e-13)
+
+    def test_gamma_edge_past_a_double_in_units_of_the_scale_gives_zero(self):
+        # mu + y*sigma is finite but its quotient by beta is inf, where bd0
+        # halved without end and the log_gamma route refused x = inf
+        assert ac.tail_probability(ac.gamma_family(4.0, 0.25), 1.7e308) == ac.TailResult(
+            0.0, "special-function", 1e-12)
 
     def test_rejects_bad_y(self):
         with pytest.raises(DomainError):

@@ -243,6 +243,11 @@ _IMPORT_PROBE = textwrap.dedent("""
     probe["nb_witness_code"] = run("witness", "--family", "neg-binomial", "--y", "1.0",
                                    "--epsilon", "1e-3")
     probe["after_nb"] = loaded()
+    # gamma, beta and the Student's-t beta route (x^2 > 5 at y = 3) too
+    probe["inc_tail_codes"] = [run("tail", "--family", family, "--params", json.dumps(params),
+                                   "--y", "3.0")
+                               for family, params in json.loads(sys.argv[4])]
+    probe["after_inc_tails"] = loaded()
     probe["mc"] = repr(anticonc.mc_tail(anticonc.poisson(4.0), 1.0, 1000, seed=7))
     probe["after_mc"] = loaded()
     probe["value"] = anticonc.quad_student_cdf(5, 1.3)
@@ -255,6 +260,8 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
     src = Path(ac.__file__).resolve().parent.parent
     params = [json.dumps(dict(_FAMILIES[family].panel.params))
               for family in (ac.FamilyId.POISSON, ac.FamilyId.NEG_BINOMIAL)]
+    params.append(json.dumps([(family.value, dict(_FAMILIES[family].panel.params)) for family in (
+        ac.FamilyId.GAMMA, ac.FamilyId.BETA, ac.FamilyId.STUDENT_T)]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), *params],
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout)
@@ -266,6 +273,7 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
     # the negative binomial's incomplete-beta tails are pure math too
     assert probe["nb_tail_code"] == 0 and probe["nb_witness_code"] == 0
     assert probe["after_nb"] == none
+    assert probe["inc_tail_codes"] == [0, 0, 0] and probe["after_inc_tails"] == none
     assert "numpy.random" in probe["after_mc"]["numpy"] and probe["after_mc"]["scipy"] == []
     # a one-block call counts in the caller's thread
     assert probe["after_mc"]["concurrent"] == []

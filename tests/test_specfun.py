@@ -50,6 +50,12 @@ class TestLogGamma:
         want = float(sps.gammaln(x))
         assert abs(log_gamma(x) - want) <= 1e-13 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_subnormal_arguments_stay_finite(self, x):
+        # the reflection formula divided by a subnormal sine and gave inf
+        want = mpmath.loggamma(mpmath.mpf(x))
+        assert abs(log_gamma(x) - want) <= 1e-13 * abs(want)
+
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain_errors(self, x):
         with pytest.raises(DomainError):
@@ -199,14 +205,6 @@ class TestIncompleteBeta:
             vals = [reg_inc_beta(float(x), a, b) for x in np.linspace(0, 1, 81)]
             assert all(u <= v + 1e-15 for u, v in zip(vals, vals[1:]))
 
-    def test_given_log_front_replaces_the_log_gamma_one(self, monkeypatch):
-        x, a, b = 0.3, 2.0, 3.0
-        log_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-        want = reg_inc_beta(x, a, b)
-        monkeypatch.setattr(specfun, "log_gamma", None)  # a given front needs no log_gamma
-        assert reg_inc_beta(x, a, b, log_front=log_front) == want
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             reg_inc_beta(-0.1, 1.0, 1.0)
@@ -221,7 +219,7 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError, match=r"only for a \+ b <= 1e\+06, got a=1e\+100"):
             reg_inc_beta(x, 1e100, 1e100)
 
-    def test_a_plus_b_of_1e6_still_takes_its_front_from_log_gamma(self):
+    def test_a_plus_b_of_1e6_is_still_answered(self):
         assert reg_inc_beta(0.5, 5e5, 5e5) == pytest.approx(0.5, abs=1e-9)
 
 
