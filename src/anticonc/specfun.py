@@ -321,7 +321,7 @@ def _inc_gamma(a: float, x: float) -> tuple[float, float]:
 def reg_inc_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0: the P of
     _gamma_tails, within 1.2e-16 on the Temme band (a >= 100,
-    |x - a| <= 0.3 a) and with absolute error below 1e-13 off it."""
+    |x - a| <= 0.3 a) and within 1e-14 off it on the panels of the tests."""
     if not (_is_number(a) and a > 0.0):
         raise DomainError(f"reg_inc_gamma_lower requires a > 0, got a={a!r}")
     if not (_is_number(x) and x >= 0.0):
