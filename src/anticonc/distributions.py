@@ -21,7 +21,11 @@ interior pmf sum evaluated in log space.  Such a record hands the sum its log pm
 iterator over consecutive k from the first k summed; the sum stops it at
 its last k and never advances it further, so a record may step its terms
 from one k to the next (the hypergeometric steps its binomial
-coefficients in exact integers).
+coefficients in exact integers).  Every term comes from exact integer
+binomial coefficients, so both laws refuse a size where these pass about
+10**6 bits (the binomial past n = 10**6, the hypergeometric past N = 10**6
+once n * N.bit_length() > 10**6) with DomainError: log-gamma terms would
+cancel there (Binomial(10**7, 1/2) off by 1.5e-8 under a 1e-13 bound).
 
 The |X - mu| >= y*sigma event is inclusive: an integer lattice point at
 exactly y standard deviations from the mean belongs to the tail.
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional, Union
 
-from .errors import DomainError, InternalError
+from .errors import DomainError
 from .specfun import (
     _DOUBLE_MAX,
     _beta_tails,
@@ -342,9 +346,10 @@ class Family:
     P(X <= x) and P(X >= x) as the two values of one incomplete gamma or
     beta at x, and the Poisson and negative binomial as incomplete gamma
     and beta values at floor(x) and ceil(x).  The binomial and
-    hypergeometric give their bounded integer support and
-    `log_pmfs(p, k0)`, an iterator over log pmf(k0), log pmf(k0 + 1), ...
-    that the caller never advances past its last k.  Each function sees
+    hypergeometric give their bounded integer support, which refuses a law
+    too large for exact integer terms, and `log_pmfs(p, k0)`, an iterator
+    over log pmf(k0), log pmf(k0 + 1), ... that the caller never advances
+    past its last k.  Each function sees
     the parameters typed once: integer fields as int, the rest as float.
     `sample` draws variate by variate, so draws made in blocks replay one
     array of the same total, bit for bit.
@@ -417,17 +422,8 @@ def _over_square(num: float, x: float) -> float:
     return num / (x * x) if x * x > 0.0 else num / x / x
 
 
-def _log_binom_coeff(n: int, k: int) -> float:
-    # exact big-int comb keeps lattice pmfs at 1-ulp accuracy; log_gamma
-    # handles sizes where the integer route would be wasteful
-    if n <= 10**6:
-        return math.log(math.comb(n, k))
-    return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
-
-
-def _per_k(log_pmf: Callable[[_Params, int], float]):
-    """log_pmfs from a per-k log pmf: log_pmf(p, k) for k = k0, k0 + 1, ..."""
-    return lambda p, k0: map(log_pmf, itertools.repeat(p), itertools.count(k0))
+# size past which the binomial and hypergeometric supports are refused (see the module docstring)
+_LATTICE_MAX = 10**6
 
 
 # the parts of the records below too long for a lambda or needing an import, in table order
@@ -506,10 +502,16 @@ def _binomial_moments(p: _Params) -> Moments:
     return Moments(n * pr, n * pr * (1.0 - pr))
 
 
+def _binomial_support(p: _Params) -> tuple[int, int]:
+    n = p["n"]
+    if n > _LATTICE_MAX:
+        raise DomainError(f"the binomial pmf sum is answered only for n <= 10**6, got n={n}")
+    return 0, n
+
+
 def _binomial_log_pmf(p: _Params, k: int) -> float:
     n, pr = p["n"], p["p"]
-    return (_log_binom_coeff(n, k) + k * math.log(pr)
-            + (n - k) * math.log1p(-pr))
+    return math.log(math.comb(n, k)) + k * math.log(pr) + (n - k) * math.log1p(-pr)
 
 
 def _neg_binomial_moments(p: _Params) -> Moments:
@@ -571,13 +573,10 @@ def _hypergeometric_moments(p: _Params) -> Moments:
 
 def _hypergeometric_support(p: _Params) -> tuple[int, int]:
     M, N, n = p["M"], p["N"], p["n"]
+    if N > _LATTICE_MAX and n * N.bit_length() > _LATTICE_MAX:
+        raise DomainError(f"the hypergeometric pmf sum is answered only for N <= 10**6 or "
+                          f"n * N.bit_length() <= 10**6, got N={N}, n={n}")
     return max(0, n - (N - M)), min(M, n)
-
-
-def _hypergeometric_log_pmf(p: _Params, k: int) -> float:
-    M, N, n = p["M"], p["N"], p["n"]
-    return (_log_binom_coeff(M, k) + _log_binom_coeff(N - M, n - k)
-            - _log_binom_coeff(N, n))
 
 
 def _hypergeometric_log_pmfs(p: _Params, k0: int) -> Iterator[float]:
@@ -585,17 +584,13 @@ def _hypergeometric_log_pmfs(p: _Params, k0: int) -> Iterator[float]:
 
     C(N, n) is formed once, and C(M, k) and C(N - M, n - k) are stepped in
     k by one exact multiply and floor-divide each, since
-    C(M, k) (M - k) = C(M, k + 1) (k + 1).  Up to N = 10^6, math.log sees
-    the integers of the per-k formula, so the terms are its terms bit for
-    bit.  Past it the route stays exact while C(N, n) has at most about
-    10^6 bits (n * N.bit_length() <= 10^6, so the witness ray's n = 1 at
-    any N); larger laws keep the per-k formula with its log_gamma.  A step
-    past kmax gives C = 0, so the caller stops at its last k.
+    C(M, k) (M - k) = C(M, k + 1) (k + 1), so math.log sees the integers
+    of the per-k formula and the terms are its terms bit for bit.  The
+    support refuses a law whose C(N, n) would pass about 10^6 bits (past
+    N = 10^6, n * N.bit_length() > 10^6; the witness ray's n = 1 passes at
+    any N).  A step past kmax gives C = 0, so the caller stops at its last k.
     """
     M, N, n = p["M"], p["N"], p["n"]
-    if N > 10**6 and n * N.bit_length() > 10**6:
-        yield from _per_k(_hypergeometric_log_pmf)(p, k0)
-        return
     log_all = math.log(math.comb(N, n))
     good, bad = math.comb(M, k0), math.comb(N - M, n - k0)
     for k in itertools.count(k0):
@@ -720,7 +715,8 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=binomial(20, 0.3),
         grid=GridSpec({"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"n": 1}),
         ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
-        support=lambda p: (0, p["n"]), log_pmfs=_per_k(_binomial_log_pmf)),
+        support=_binomial_support,
+        log_pmfs=lambda p, k0: map(_binomial_log_pmf, itertools.repeat(p), itertools.count(k0))),
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(p["lambda"], p["lambda"]),
@@ -860,19 +856,16 @@ def moments(ps: ParamSet) -> Moments:
     return law.moments(p)
 
 
-_DISCRETE_LOOP_CAP = 10**7
-
-
 def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: int, upper: float, keep) -> float:
     """Sum pmf(k) for integer k in [kmin, min(kmax, floor(upper))] with keep(k)."""
+    # an answered support spans at most 10**6 + 1 terms: n <= 10**6 for the binomial,
+    # and for the hypergeometric n < N <= 10**6 or n <= 5 * 10**4 (n * N.bit_length() <= 10**6)
     total = 0.0
     # the range ends the zip, so log_pmfs is never advanced past its last k
     for k, lp in zip(range(kmin, min(math.floor(upper), kmax) + 1), law.log_pmfs(p, kmin)):
         val = math.exp(lp) if lp > -745.0 else 0.0
         if keep is None or keep(k):
             total += val
-        if k - kmin >= _DISCRETE_LOOP_CAP:
-            raise InternalError(f"discrete summation exceeded {_DISCRETE_LOOP_CAP} terms")
     return total
 
 
@@ -934,9 +927,12 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     for k = floor(mu - y*sigma) and P(X >= k) for k = ceil(mu + y*sigma),
     each an incomplete gamma or beta value.  Binomial and hypergeometric:
     one minus the pmf sum over integers strictly inside
-    (mu - y*sigma, mu + y*sigma).  Either way, lattice points at exactly y
-    standard deviations count toward the tail.  Where mu -/+ y*sigma round
-    onto mu, no tail can be placed and DomainError is raised.
+    (mu - y*sigma, mu + y*sigma), refused with DomainError past
+    n = 10**6 (binomial) or past N = 10**6 with n * N.bit_length() > 10**6
+    (hypergeometric), where exact integer terms grow too costly.  Either
+    way, lattice points at exactly y standard deviations count toward the
+    tail.  Where mu -/+ y*sigma round onto mu, no tail can be placed and
+    DomainError is raised.
     """
     law, p = _valid_law(ps)
     y = _check_y(y)

@@ -5,9 +5,10 @@ Tail literals were frozen from scipy.stats (cdf/sf and exact pmf sums
 computed independently of this package's special functions).
 """
 
-import itertools
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -16,8 +17,10 @@ import pytest
 from scipy import stats
 
 import anticonc as ac
-from anticonc import FamilyId, ParamSet, distributions
+from anticonc import FamilyId, ParamSet, cli, distributions
 from anticonc.errors import DomainError
+
+import exact
 
 
 def rng_from(seed):
@@ -59,24 +62,16 @@ def beta_tail_at_50_digits(p, q, y):
         return float(cdf(lo) + 1 - cdf(hi))
 
 
-def inc_beta_below_the_mean(x, a, b):
-    """I_x(a, b) for x below a/(a + b), as x^a (1 - x)^b / (a B(a, b)) times
-    2F1(a + b, 1; a + 1; x) (DLMF 8.17.8), whose terms are all positive:
-    mpmath's betainc cancels its way to NoConvergence from beta(10^4, 10^4)."""
-    return (mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a * mpmath.beta(a, b)))
-            * mpmath.hyp2f1(a + b, 1, a + 1, x))
-
-
 def beta_family_tail_at_50_digits(p, q, y):
     """P(|X - mu| >= y sigma) of beta(p, q) in 50-digit mpmath; the upper
-    side is I_(1 - hi)(q, p)."""
+    side is I_(1 - hi)(q, p); both ends lie below their mean."""
     with mpmath.workdps(50):
         p, q, y = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(y)
         s = p + q
         mean, sd = p / s, mpmath.sqrt(p * q / (s * s * (s + 1)))
         lo, hi = mean - y * sd, mean + y * sd
-        return float((inc_beta_below_the_mean(lo, p, q) if lo > 0 else 0)
-                     + (inc_beta_below_the_mean(1 - hi, q, p) if hi < 1 else 0))
+        return float((exact.inc_beta(lo, p, q) if lo > 0 else 0)
+                     + (exact.inc_beta(1 - hi, q, p) if hi < 1 else 0))
 
 
 def gamma_tail_at_50_digits(alpha, y):
@@ -554,22 +549,10 @@ class TestHypergeometricSteps:
             got = [lp for _, lp in zip(ks, distributions._hypergeometric_log_pmfs(p, k0))]
             assert got == hypergeometric_log_pmfs_per_k(M, N, n, ks), k0
 
-    def test_large_draws_past_a_million_keep_the_per_k_formula(self):
-        # n * N.bit_length() > 10^6: C(N, n) would pass 10^6 bits
-        p = {"M": 2 * 10**6, "N": 4 * 10**6, "n": 10**5}
-        k0 = 49_990
-        got = list(itertools.islice(distributions._hypergeometric_log_pmfs(p, k0), 20))
-        assert got == [distributions._hypergeometric_log_pmf(p, k) for k in range(k0, k0 + 20)]
-
     @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
     def test_tail_against_the_exact_inner_sum(self, y):
         M, N, n = 5000, 20000, 3000
-        mean = Fraction(n * M, N)
-        var = Fraction(n * M * (N - M) * (N - n), N * N * (N - 1))
-        y2 = Fraction(y) ** 2
-        inner = sum(math.comb(M, k) * math.comb(N - M, n - k)
-                    for k in range(n + 1) if (k - mean) ** 2 < y2 * var)
-        want = 1 - Fraction(inner, math.comb(N, n))
+        want = exact.hypergeometric_tail(M, N, n, y)
         got = ac.tail_probability(ac.hypergeometric(M, N, n), y).probability
         # each term's exponent carries the rounding of logs up to
         # log C(N, n) = 8449.3, about 2 of its ulps (1.8e-12) in all: these
@@ -583,6 +566,46 @@ class TestHypergeometricSteps:
         # and InternalError at 10^9
         got = ac.tail_probability(ac.hypergeometric(N - 1, N, 1), 1.0).probability
         assert abs(Fraction(got) - Fraction(1, N)) <= Fraction(1e-13)
+
+
+_BINOMIAL_LIMIT = "the binomial pmf sum is answered only for n <= 10**6"
+_HYPERGEOMETRIC_LIMIT = ("the hypergeometric pmf sum is answered only for N <= 10**6 or "
+                         "n * N.bit_length() <= 10**6")
+# laws past the sizes whose pmf terms come from exact integers, with the
+# limit each refusal names: log_gamma terms put the first four 2.9e-10 to
+# 2.9e-8 off under a 1e-13 bound, and the last raised InternalError
+PAST_THE_EXACT_TERMS = [
+    (ac.binomial(10**6 + 1, 0.5), _BINOMIAL_LIMIT),
+    (ac.binomial(10**7, 0.5), _BINOMIAL_LIMIT),
+    (ac.binomial(2**53, 0.5), _BINOMIAL_LIMIT),
+    (ac.hypergeometric(2 * 10**6, 4 * 10**6, 10**5), _HYPERGEOMETRIC_LIMIT),
+    (ac.hypergeometric(5 * 10**29, 10**30, 10**5), _HYPERGEOMETRIC_LIMIT),
+]
+
+
+class TestExactTermLimits:
+    @pytest.mark.parametrize("ps,limit", PAST_THE_EXACT_TERMS,
+                             ids=[f"{ps.family.value}{dict(ps.params)}"
+                                  for ps, _ in PAST_THE_EXACT_TERMS])
+    def test_tail_and_cdf_refuse_past_the_limit(self, ps, limit, capsys):
+        assert ac.validate(ps) == []
+        m = ac.moments(ps)
+        assert math.isfinite(m.mean) and 0.0 < m.variance < math.inf
+        for y in (0.5, 1.0, 2.0):
+            with pytest.raises(DomainError, match=re.escape(limit)):
+                ac.tail_probability(ps, y)
+        for x in (m.mean - math.sqrt(m.variance), m.mean):
+            with pytest.raises(DomainError, match=re.escape(limit)):
+                ac.cdf(ps, x)
+        code = cli.main(["tail", "--family", ps.family.value,
+                         "--params", json.dumps(dict(ps.params)), "--y", "1.0"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and err.startswith(f"error: {limit}, got ")
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 10.0])
+    def test_binomial_at_the_limit_within_the_bound(self, y):
+        got = ac.tail_probability(ac.binomial(10**6, 1e-5), y)
+        assert abs(got.probability - exact.binomial_tail(10**6, 1e-5, y)) <= got.abs_error_bound
 
 
 class TestSample:

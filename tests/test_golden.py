@@ -56,8 +56,12 @@ REJECTED = [
     ("hypergeometric", {"M": 3.5, "N": 10, "n": 2.5}),
 ]
 
+# lattice laws past the sizes whose pmf terms come from exact integers,
+# whose cdf and tails are refused
+PAST_EXACT_TERMS = [ac.binomial(10**7, 0.5), ac.hypergeometric(5 * 10**29, 10**30, 10**5)]
+
 # laws at the edges of the tail engine: far along the witness rays, long
-# pmf sums, and moments that overflow a double
+# pmf sums, moments that overflow a double, and refused pmf sums
 EDGE_LAWS = [
     ac.weibull(1e-3, 1.0),
     ac.log_normal(0.0, 40.0),
@@ -72,6 +76,7 @@ EDGE_LAWS = [
     ac.pareto(2.5, 1e300),
     ac.gamma_family(1e200, 1e200),
     ac.uniform(-1e308, 1e308),
+    *PAST_EXACT_TERMS,
 ]
 
 
@@ -107,6 +112,10 @@ def _cli_panel():
         "tail", "--family", "poisson", "--params", "[4.0]", "--y", "1.0"]
     cases["tail/bad-y"] = [
         "tail", "--family", "poisson", "--params", '{"lambda": 4.0}', "--y", "-1"]
+    for ps in PAST_EXACT_TERMS:
+        cases[f"tail/past-exact-terms/{ps.family.value}"] = [
+            "tail", "--family", ps.family.value, "--params", json.dumps(dict(ps.params)),
+            "--y", "1.0"]
     for family in sorted(ac.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value):
         for y in Y_PANEL:
             for eps in (1e-2, 1e-4):

@@ -21,6 +21,8 @@ import pytest
 import anticonc as ac
 from anticonc import specfun
 
+import exact
+
 DIGITS = 40
 # standardized knots the quadrature splits at, so no piece spans a density
 # that changes by more than about e^-60 across it
@@ -111,16 +113,13 @@ def test_either_side_of_the_band_edges(a):
 def _tail_mp(ps, y):
     """P(|X - mu| >= y sigma) at 40 digits, with the ends placed by the
     double moments as tail_probability places them."""
-    m = ac.moments(ps)
-    half = y * math.sqrt(m.variance)
-    lo, hi = m.mean - half, m.mean + half
     with mpmath.workdps(DIGITS):
         if ps.family is ac.FamilyId.GAMMA:
-            p_lo, p_hi = gamma_lower_mp(ps.params["alpha"], [lo, hi])
+            p_lo, p_hi = gamma_lower_mp(ps.params["alpha"], list(exact.ends(ps, y)))
             return p_lo + 1 - p_hi
         # P(X <= k) = Q(k + 1, lambda) and P(X >= k') = P(k', lambda)
         lam = ps.params["lambda"]
-        k, k_up = math.floor(lo), math.ceil(hi)
+        k, k_up = exact.lattice_ends(ps, y)
         return 1 - gamma_lower_mp(k + 1.0, [lam])[0] + gamma_lower_mp(float(k_up), [lam])[0]
 
 

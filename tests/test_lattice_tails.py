@@ -17,54 +17,29 @@ import pytest
 import anticonc as ac
 from anticonc.errors import DomainError
 
+import exact
+
 DIGITS = 60
 Y_PANEL = (0.5, 1.0, 2.0, 10.0)
-
-
-def _lattice_ends(ps, y):
-    """(largest k of the lower tail, smallest k of the upper tail), placed by
-    the double moments as `tail_probability` places them.
-
-    The decimal a law is written in can put a point exactly at y*sigma
-    (k = 0 of neg_binomial(2.5, 0.9) at y = 0.5, k = 100 of
-    neg_binomial(1000, 0.9) at y = 1), where the double nearest the decimal
-    moves it by about 1e-16 sigma, and the rounding of mu - y*sigma puts it
-    on either side.  These panels check the tails of given lattice ends;
-    test_poisson_lattice_points_at_exactly_y_sigma_count checks the rule.
-    """
-    m = ac.moments(ps)
-    half = y * math.sqrt(m.variance)
-    return math.floor(m.mean - half), math.ceil(m.mean + half)
 
 
 def poisson_tail_mp(lam, y):
     """Q(k + 1, lambda) + 1 - Q(k', lambda) from mpmath's regularized gammainc."""
     with mpmath.workdps(DIGITS):
-        lo, hi = _lattice_ends(ac.poisson(lam), y)
+        lo, hi = exact.lattice_ends(ac.poisson(lam), y)
         lam = mpmath.mpf(lam)
         lower = mpmath.gammainc(lo + 1, lam, mpmath.inf, regularized=True) if lo >= 0 else 0
         return lower + 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
 
 
-def _inc_beta_mp(x, a, b):
-    """I_x(a, b) = x^a (1-x)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x) up to the
-    mean a/(a + b), and 1 - I_{1-x}(b, a) past it, where that series converges
-    fast.  mpmath's own betainc stops short of 60 digits at these sizes."""
-    if x > a / (a + b):
-        return 1 - _inc_beta_mp(1 - x, b, a)
-    front = mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a)
-                       - mpmath.log(mpmath.beta(a, b)))
-    return front * mpmath.hyp2f1(a + b, 1, a + 1, x, maxterms=10**7)
-
-
 def neg_binomial_tail_mp(r, p, y):
     """I_p(r, k + 1) + I_{1-p}(k', r) at 60 digits, with 1 - p exact."""
     with mpmath.workdps(DIGITS):
-        lo, hi = _lattice_ends(ac.neg_binomial(r, p), y)
+        lo, hi = exact.lattice_ends(ac.neg_binomial(r, p), y)
         r, p = mpmath.mpf(r), mpmath.mpf(p)
         q = 1 - p
-        lower = _inc_beta_mp(p, r, lo + 1) if lo >= 0 else 0
-        return lower + _inc_beta_mp(q, hi, r)
+        lower = exact.inc_beta(p, r, lo + 1) if lo >= 0 else 0
+        return lower + exact.inc_beta(q, hi, r)
 
 
 def _within_bound(got, want):
@@ -113,10 +88,8 @@ def test_poisson_lattice_points_at_exactly_y_sigma_count(y, ks):
                                 ac.neg_binomial(1.0, 0.3), ac.neg_binomial(100.0, 0.01)],
                          ids=lambda ps: f"{ps.family.value}{dict(ps.params)}")
 def test_cdf_is_the_lower_tail(ps):
-    m = ac.moments(ps)
-    sd = math.sqrt(m.variance)
     for y in (0.5, 1.0, 2.0):
-        k = math.floor(m.mean - y * sd)
+        k = exact.lattice_ends(ps, y)[0]
         if k < 0:
             continue
         with mpmath.workdps(DIGITS):
@@ -124,7 +97,7 @@ def test_cdf_is_the_lower_tail(ps):
                 want = mpmath.gammainc(k + 1, mpmath.mpf(ps["lambda"]), mpmath.inf,
                                        regularized=True)
             else:
-                want = _inc_beta_mp(mpmath.mpf(ps["p"]), mpmath.mpf(ps["r"]), k + 1)
+                want = exact.inc_beta(mpmath.mpf(ps["p"]), mpmath.mpf(ps["r"]), k + 1)
         got = ac.cdf(ps, float(k))
         assert abs(mpmath.mpf(got) - want) <= 1e-13
         # a step function, right-continuous at each atom
