@@ -349,10 +349,10 @@ class Family:
     hypergeometric give their bounded integer support, which refuses a law
     too large for exact integer terms, and `log_pmfs(p, k0)`, an iterator
     over log pmf(k0), log pmf(k0 + 1), ... that the caller never advances
-    past its last k.  Each function sees
-    the parameters typed once: integer fields as int, the rest as float.
-    `sample` draws variate by variate, so draws made in blocks replay one
-    array of the same total, bit for bit.
+    past its last k.  Each function sees the parameters typed once:
+    integer fields as int, the rest as float.  `sample` draws variate by
+    variate, so draws made in blocks replay one array of the same total,
+    bit for bit.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the

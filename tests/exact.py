@@ -1,8 +1,9 @@
 """Exact and high-precision references the tests share.
 
 Each reference is written once here and imported by every test module
-that uses it.  None calls into `anticonc` beyond `moments`, whose double
-values place the lattice ends as `tail_probability` places them.
+that uses it.  None calls into `anticonc` beyond the law constructors and
+`moments`, whose double values place the lattice ends as
+`tail_probability` places them.
 """
 
 import math
