@@ -572,8 +572,9 @@ _BINOMIAL_LIMIT = "the binomial pmf sum is answered only for n <= 10**6"
 _HYPERGEOMETRIC_LIMIT = ("the hypergeometric pmf sum is answered only for N <= 10**6 or "
                          "n * N.bit_length() <= 10**6")
 # laws past the sizes whose pmf terms come from exact integers, with the
-# limit each refusal names: log_gamma terms put the first four 2.9e-10 to
-# 2.9e-8 off under a 1e-13 bound, and the last raised InternalError
+# limit each refusal names: log_gamma terms answered three of them wrongly
+# (Binomial(10**7, 1/2) up to 1.5e-8 off under a 1e-13 bound), and the
+# 10**7-term cap or a tail of -158 raised InternalError at the other two
 PAST_THE_EXACT_TERMS = [
     (ac.binomial(10**6 + 1, 0.5), _BINOMIAL_LIMIT),
     (ac.binomial(10**7, 0.5), _BINOMIAL_LIMIT),
