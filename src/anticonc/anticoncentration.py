@@ -6,8 +6,8 @@ Gaussian, Student's t); the other nine have A(y) = 0, certified here by
 constructing explicit parameters whose standardized tail falls below any
 requested epsilon.  Which verdict a family gets follows from its
 `Family` record: each of the nine carries its witness ray there, and one
-search walks and bisects every ray.  `_CLOSED_FORMS` holds the A(y) of
-the other four.
+search walks every ray in log t and interpolates back to its boundary.
+`_CLOSED_FORMS` holds the A(y) of the other four.
 
 The Student's t curve takes its CDF (hypergeometric form) from
 `distributions`, and a finite cutoff on the degrees-of-freedom scan:
@@ -235,19 +235,55 @@ def witness_ray_description(family: Union[FamilyId, str]) -> str:
     return _ray(family).description
 
 
-# walk and bisection steps a witness search may take before it gives up
+# walk and interpolation steps a witness search may take before it gives up
 _MAX_WITNESS_STEPS = 200
+
+# the longest walk step in u = log t: a factor of 2^16
+_MAX_STRIDE = 16.0 * math.log(2.0)
+
+# a float ray certifies a computed tail at most epsilon / 1.05, so that the
+# rounding of a tail near its floor (1 - inner keeps half an ulp of 1) cannot
+# pass a point whose true tail is above epsilon
+_FLOAT_MARGIN = 1.05
+
+
+def _log_log(p: float) -> float:
+    """log(-log p): +inf at p = 0, -inf at p = 1."""
+    if p <= 0.0:
+        return math.inf
+    return -math.inf if p >= 1.0 else math.log(-math.log(p))
+
+
+def _u(t: Union[float, int]) -> float:
+    """Where t lies on its ray, falling toward the limit: log t, or -log N."""
+    return -math.log(t) if isinstance(t, int) else math.log(t)
+
+
+def _moved(t: Union[float, int], du: float) -> Union[float, int]:
+    """The ray point du away from t in u, rounded exactly on the integer ray."""
+    if not isinstance(t, int):
+        return t * math.exp(du)
+    num, den = math.exp(-du).as_integer_ratio()
+    return (t * num + den // 2) // den
 
 
 def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) -> Witness:
     """Concrete parameters with standardized tail at most epsilon.
 
-    Walks the family's limiting ray (halving t, or doubling N for the
-    hypergeometric) until the exact tail drops below epsilon, then
-    bisects back toward the boundary so the certificate is not wastefully
-    deep; the integer ray bisects to the exact boundary.  Each walk and
-    bisection step counts against _MAX_WITNESS_STEPS.  The achieved tail
-    always comes from the exact tail engine.
+    Works in u = log t (u = -log N on the hypergeometric ray), which falls
+    toward the family's degenerate limit, and evaluates the ray's start
+    first.  While no point certifies, it walks along the secant of
+    log(tail) through its last two points, each step at least one
+    `ray.step` and at most a factor of 2^16.  Once it holds a certified
+    point and a refused one, it interpolates between them in
+    (u, log(-log tail)) by the Illinois rule (Dowell & Jarratt, BIT 11,
+    1971), taking the geometric midpoint where a tail is 0 or 1, until
+    `ray.split` finds the bracket tight: within 10% on a float ray, N and
+    N - 1 on the integer one.  A float ray certifies a tail at most
+    epsilon / 1.05, the integer ray a tail at most epsilon.  Each step after
+    the start counts against _MAX_WITNESS_STEPS.  The achieved tail always
+    comes from the exact tail engine, and a ray point that leaves the range
+    of a double is refused with a DomainError naming the ray and that point.
     """
     family = _as_family(family)
     ray = _ray(family)
@@ -255,23 +291,64 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
     if not (_is_number(epsilon) and 0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     epsilon = float(epsilon)
+    integer = isinstance(ray.start, int)
+    aim = epsilon if integer else epsilon / _FLOAT_MARGIN
+    calls = 0
 
-    steps = 0
-    t, ok, bad = ray.start, None, None
-    while True:
-        tail = tail_probability(ray.build(t), y).probability
-        if tail <= epsilon:
-            ok, ok_tail = t, tail
-        else:
-            bad = t
-        if ok is None:
-            t = ray.step(t)  # still walking toward the degenerate end
-        else:
-            # bisect back toward the boundary; a certified start needs none
-            t = None if bad is None else ray.split(ok, bad)
-            if t is None:
-                return Witness(family, y, epsilon, ray.build(ok), ok_tail)
-        steps += 1
-        if steps > _MAX_WITNESS_STEPS:
+    def tail_at(t):
+        # every call after the one at the start is a step
+        nonlocal calls
+        if calls > _MAX_WITNESS_STEPS:
             raise SearchError(f"{family.value} witness search exceeded "
                               f"{_MAX_WITNESS_STEPS} steps (y={y}, epsilon={epsilon})")
+        calls += 1
+        try:
+            return tail_probability(ray.build(t), y).probability
+        except DomainError as exc:
+            raise DomainError(f"the {family.value} witness ray ({ray.description}) "
+                              f"leaves the range of a double at t = {t!r}: {exc}") from None
+
+    # walk until a point certifies; a certified start returns at once
+    t = ray.start
+    tail = tail_at(t)
+    if tail <= aim:
+        return Witness(family, y, epsilon, ray.build(t), tail)
+    last = None  # (u, log tail) of the refused point before
+    while tail > aim:
+        u, log_tail = _u(t), math.log(tail)
+        bad, bad_tail, t = t, tail, ray.step(t)
+        if last is not None and log_tail < last[1]:
+            du = (math.log(aim) - log_tail) * (u - last[0]) / (log_tail - last[1])
+            du = max(du, -_MAX_STRIDE)
+            if u + du < _u(t):
+                t = _moved(bad, du)
+        last = (u, log_tail)
+        tail = tail_at(t)
+
+    # Illinois rule between the certified and the refused end: an end kept
+    # twice in a row has its gap halved
+    ok, ok_tail = t, tail
+    g_ok, g_bad = _log_log(ok_tail) - _log_log(aim), _log_log(bad_tail) - _log_log(aim)
+    last_ok = True
+    while ray.split(ok, bad) is not None:
+        u_ok, u_bad = _u(ok), _u(bad)
+        if math.isfinite(g_ok) and math.isfinite(g_bad):
+            t = _moved(ok, (u_bad - u_ok) * g_ok / (g_ok - g_bad))
+        else:
+            t = _moved(ok, 0.5 * (u_bad - u_ok))
+        if integer:
+            t = min(max(t, bad + 1), ok - 1)
+        elif not ok < t < bad:
+            t = _moved(ok, 0.5 * (u_bad - u_ok))
+        tail = tail_at(t)
+        g = _log_log(tail) - _log_log(aim)
+        if tail <= aim:
+            if last_ok:
+                g_bad *= 0.5
+            ok, ok_tail, g_ok = t, tail, g
+        else:
+            if not last_ok:
+                g_ok *= 0.5
+            bad, g_bad = t, g
+        last_ok = tail <= aim
+    return Witness(family, y, epsilon, ray.build(ok), ok_tail)

@@ -315,9 +315,11 @@ class _Ray:
     """One-dimensional path to the family's degenerate limit.
 
     From `start`, `step` moves toward the limit, where the tail falls
-    (t halves on the float rays, N doubles on the integer one);
-    `split(ok, bad)` is the next point to try between a certified point
-    and a refused one, or None once the bracket is tight enough.
+    (t halves on the float rays, N doubles on the integer one); the
+    witness search walks at least that far a step.  `split(ok, bad)` is
+    the midpoint of a certified point and a refused one, or None once the
+    bracket is tight enough (within 10%, or adjacent integers); the search
+    stops there.
     """
 
     build: Callable[..., ParamSet]

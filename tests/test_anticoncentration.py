@@ -8,6 +8,7 @@ brute-force max over n <= 400 run against it.
 
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -478,21 +479,57 @@ class TestWitnesses:
             ac.witness_parameter(family, 1.0, 1e-4)
 
     @pytest.mark.parametrize("family,epsilon,walk,steps", [
-        # N = 2 -> 256 in 7 doublings, then 7 bisections down to N = 200
-        ("hypergeometric", 0.005, 7, 14),
-        # lambda = 0.5 -> 0.5/64 in 6 halvings, then 3 bisections
-        ("poisson", 0.01, 6, 9),
+        # N = 2 -> 4 -> 28 -> 200 in 3 walk steps, then N = 199 is refused
+        ("hypergeometric", 0.005, 3, 4),
+        # lambda = 0.5 -> 0.25 -> 0.125 -> 0.0080 in 3 walk steps, then
+        # 0.0091 certifies and 0.0098 is refused
+        ("poisson", 0.01, 3, 5),
     ])
     def test_search_runs_out_during_bisection(self, family, epsilon, walk, steps,
                                               monkeypatch):
         full = ac.witness_parameter(family, 1.0, epsilon)
         monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", steps)
         assert ac.witness_parameter(family, 1.0, epsilon) == full
-        # the walk fits in these budgets; the bisection then runs out
+        # the walk fits in these budgets; the interpolation then runs out
         for max_steps in (walk, steps - 1):
             monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", max_steps)
             with pytest.raises(SearchError, match=f"exceeded {max_steps} steps"):
                 ac.witness_parameter(family, 1.0, epsilon)
+
+    @pytest.mark.parametrize("family,text", [
+        # p = 1 - t rounds to 1 below 2^-53, 2 + t to 2 below 2^-52, and the
+        # beta's mean 1/(1 + q) to 1 near q = 1e-17
+        ("neg-binomial", "p = 1 is degenerate"),
+        ("pareto", "r must exceed 2"),
+        ("beta", "lost in rounding the mean 1.0"),
+    ])
+    def test_ray_floor_is_named(self, family, text):
+        with pytest.raises(DomainError, match=text) as info:
+            ac.witness_parameter(family, 1.0, 1e-40)
+        message = str(info.value)
+        assert f"({ac.witness_ray_description(family)})" in message
+        # the last t it tried is a point the tail engine refuses
+        t = float(re.search(r"at t = (\S+):", message).group(1))
+        with pytest.raises(DomainError, match=text):
+            ac.tail_probability(distributions._FAMILIES[FamilyId(family)].ray.build(t), 1.0)
+
+    def test_tail_calls_per_search_stay_few(self, monkeypatch):
+        # the curves ladder: the halving walk and bisection made 16.95 calls
+        # a search on it, and 53 at most
+        calls = []
+        real = anticoncentration.tail_probability
+        monkeypatch.setattr(anticoncentration, "tail_probability",
+                            lambda ps, y: calls.append(ps) or real(ps, y))
+        counts = []
+        for family in ac.ZERO_INFIMUM_FAMILIES:
+            for y in (0.5, 1.0, 2.0):
+                for k in range(2, 9):
+                    calls.clear()
+                    ac.witness_parameter(family, y, 10.0 ** -k)
+                    counts.append(len(calls))
+        assert len(counts) == 189
+        assert sum(counts) / len(counts) <= 7
+        assert max(counts) <= 12
 
     def test_ray_descriptions_exist_for_all_nine(self):
         for family in ac.ZERO_INFIMUM_FAMILIES:

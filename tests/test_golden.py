@@ -6,11 +6,17 @@ and `tail_probability` results at fixed laws, and the stdout of each
 script in `demos/`.  A change meant to leave output alone (a refactor)
 must pass this module unchanged.
 
-Re-record only for an intended change of output:
+Re-record only for an intended change of output; the script prints each
+changed key, old -> new, before it writes:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Every recorded witness certificate is also held to its true tail at 50
+digits, from the benchmark's `reference.tail_mp`, which computes apart from
+anticonc.
 """
 
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -26,6 +32,7 @@ from anticonc.errors import DomainError, InternalError
 DATA = Path(__file__).with_name("golden.json")
 DEMO_DIR = Path(__file__).parent.parent / "demos"
 DEMOS = sorted(path.name for path in DEMO_DIR.glob("*.py"))
+REFERENCE = Path(__file__).parent.parent / "bench" / "reference.py"
 SAMPLE_SEED = 20240118
 Y_PANEL = (0.5, 1.0, 2.0)
 
@@ -234,14 +241,59 @@ def test_demo_output_unchanged(name):
     assert run_demo(name) == GOLDEN["demos"][name]["stdout"]
 
 
+@pytest.fixture(scope="module")
+def reference():
+    spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("key", sorted(key for key, case in GOLDEN["cli"].items()
+                                       if case["argv"][0] == "witness" and case["code"] == 0))
+def test_recorded_witness_is_sound(key, reference):
+    w = json.loads(GOLDEN["cli"][key]["stdout"])
+    true_tail = reference.tail_mp(w["family"], w["params"]["params"], w["y"])
+    assert w["achieved_tail"] <= w["epsilon"]
+    assert true_tail <= w["epsilon"], (true_tail, w)
+
+
 def test_golden_data_present():
     assert len(GOLDEN["cli"]) > 100 and len(GOLDEN["lib"]) > 100
     assert sorted(GOLDEN["demos"]) == DEMOS
+
+
+def changes(old: dict, new: dict):
+    """One line per changed field of each changed key, old -> new; a
+    multi-line field gives one line per changed line."""
+    for section in sorted(new):
+        was_cases, now_cases = old.get(section, {}), new[section]
+        for key in sorted(set(was_cases) | set(now_cases)):
+            was, now = was_cases.get(key), now_cases.get(key)
+            if was is None or now is None:
+                yield f"{section} {key}: {'added' if was is None else 'removed'}"
+                continue
+            for field in sorted(set(was) | set(now)):
+                a, b = was.get(field), now.get(field)
+                if a == b:
+                    continue
+                if not (isinstance(a, str) and isinstance(b, str) and "\n" in a + b):
+                    yield f"{section} {key} {field}: {a!r} -> {b!r}"
+                    continue
+                a_lines, b_lines = a.splitlines(), b.splitlines()
+                for i in range(max(len(a_lines), len(b_lines))):
+                    la = a_lines[i] if i < len(a_lines) else ""
+                    lb = b_lines[i] if i < len(b_lines) else ""
+                    if la != lb:
+                        yield f"{section} {key} {field} line {i + 1}: {la!r} -> {lb!r}"
 
 
 if __name__ == "__main__":
     import os
 
     os.environ.pop("ANTICONC_CONFIG", None)
-    DATA.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    recorded = record()
+    for line in changes(_load() if DATA.exists() else {}, recorded):
+        print(line)
+    DATA.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DATA}")

@@ -24,11 +24,19 @@ Y_PANEL = (0.5, 1.0, 2.0, 10.0)
 
 
 def poisson_tail_mp(lam, y):
-    """Q(k + 1, lambda) + 1 - Q(k', lambda) from mpmath's regularized gammainc."""
+    """Q(k + 1, lambda) + P(k', lambda) from mpmath's regularized gammainc.
+
+    Below lambda = 1 the upper tail P(k', lambda), about lambda on the witness
+    ray, is taken directly: 1 - Q(k', lambda) keeps only 60 + log10(lambda)
+    digits.  From lambda = 1 on it is 1 - Q, since mpmath's lower series stops
+    converging past lambda = 10^6.
+    """
     with mpmath.workdps(DIGITS):
         lo, hi = exact.lattice_ends(ac.poisson(lam), y)
-        lam = mpmath.mpf(lam)
+        small, lam = lam < 1.0, mpmath.mpf(lam)
         lower = mpmath.gammainc(lo + 1, lam, mpmath.inf, regularized=True) if lo >= 0 else 0
+        if small:
+            return lower + mpmath.gammainc(hi, 0, lam, regularized=True)
         return lower + 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
 
 
@@ -106,9 +114,9 @@ def test_cdf_is_the_lower_tail(ps):
     assert ac.cdf(ps, -0.5) == 0.0
 
 
-# the witness walk halves t at most 200 times from 0.5, so it certifies down to
-# about 1e-57 (200 steps, bisection included); the ray tails are checked to 1e-300
-RAY_EPSILONS = [10.0 ** -k for k in (1, 2, 3, 4, 6, 8, 10, 12, 14, 15, 16, 20, 30, 50, 55)]
+# the witness walk moves t by up to 2^16 a step, so 200 steps reach past 1e-300
+RAY_EPSILONS = [10.0 ** -k for k in (1, 2, 3, 4, 6, 8, 10, 12, 14, 15, 16, 20, 30, 50, 55,
+                                     60, 100, 200, 300)]
 RAY_POINTS = [10.0 ** -k for k in range(1, 301)]
 
 
