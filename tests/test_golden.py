@@ -17,6 +17,7 @@ anticonc.
 """
 
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -280,12 +281,10 @@ def changes(old: dict, new: dict):
                 if not (isinstance(a, str) and isinstance(b, str) and "\n" in a + b):
                     yield f"{section} {key} {field}: {a!r} -> {b!r}"
                     continue
-                a_lines, b_lines = a.splitlines(), b.splitlines()
-                for i in range(max(len(a_lines), len(b_lines))):
-                    la = a_lines[i] if i < len(a_lines) else ""
-                    lb = b_lines[i] if i < len(b_lines) else ""
+                lines = itertools.zip_longest(a.splitlines(), b.splitlines(), fillvalue="")
+                for i, (la, lb) in enumerate(lines, start=1):
                     if la != lb:
-                        yield f"{section} {key} {field} line {i + 1}: {la!r} -> {lb!r}"
+                        yield f"{section} {key} {field} line {i}: {la!r} -> {lb!r}"
 
 
 if __name__ == "__main__":

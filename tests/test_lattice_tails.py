@@ -33,9 +33,9 @@ def poisson_tail_mp(lam, y):
     """
     with mpmath.workdps(DIGITS):
         lo, hi = exact.lattice_ends(ac.poisson(lam), y)
-        small, lam = lam < 1.0, mpmath.mpf(lam)
+        lam = mpmath.mpf(lam)
         lower = mpmath.gammainc(lo + 1, lam, mpmath.inf, regularized=True) if lo >= 0 else 0
-        if small:
+        if lam < 1:
             return lower + mpmath.gammainc(hi, 0, lam, regularized=True)
         return lower + 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
 
