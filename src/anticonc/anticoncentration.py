@@ -278,8 +278,9 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
     point and a refused one, it interpolates between them in
     (u, log(-log tail)) by the Illinois rule (Dowell & Jarratt, BIT 11,
     1971), taking the geometric midpoint where a tail is 0 or 1, until
-    `ray.split` finds the bracket tight: within 10% on a float ray, N and
-    N - 1 on the integer one.  A float ray certifies a tail at most
+    `ray.tight` finds the bracket tight: within 10% or adjacent doubles on a
+    float ray (the smallest subnormals are never within 10%), N and N - 1 on
+    the integer one.  A float ray certifies a tail at most
     epsilon / 1.05, the integer ray a tail at most epsilon.  Each step after
     the start counts against _MAX_WITNESS_STEPS.  The achieved tail always
     comes from the exact tail engine, and a ray point that leaves the range
@@ -330,7 +331,7 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
     ok, ok_tail = t, tail
     g_ok, g_bad = _log_log(ok_tail) - _log_log(aim), _log_log(bad_tail) - _log_log(aim)
     last_ok = True
-    while ray.split(ok, bad) is not None:
+    while not ray.tight(ok, bad):
         u_ok, u_bad = _u(ok), _u(bad)
         if math.isfinite(g_ok) and math.isfinite(g_bad):
             t = _moved(ok, (u_bad - u_ok) * g_ok / (g_ok - g_bad))

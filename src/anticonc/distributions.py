@@ -151,7 +151,8 @@ class ParamSet:
 
     def __post_init__(self):
         # a kebab-case string tag is accepted and stored as its FamilyId
-        object.__setattr__(self, "family", _as_family(self.family))
+        if type(self.family) is not FamilyId:
+            object.__setattr__(self, "family", _as_family(self.family))
 
     def __getitem__(self, key: str) -> float:
         return self.params[key]
@@ -300,14 +301,14 @@ def _halve(t: float) -> float:
     return t / 2.0
 
 
-def _split_float(ok: float, bad: float) -> Optional[float]:
-    """Midpoint of the bracket, until it is within 10% of ok."""
-    return 0.5 * (ok + bad) if (bad - ok) > 0.1 * ok else None
+def _tight_float(ok: float, bad: float) -> bool:
+    """Whether bad is within 10% of ok, or the next double past ok."""
+    return bad - ok <= 0.1 * ok or math.nextafter(ok, bad) == bad
 
 
-def _split_int(ok: int, bad: int) -> Optional[int]:
-    """Integer midpoint of the bracket, until its ends are adjacent."""
-    return (ok + bad) // 2 if ok - bad > 1 else None
+def _tight_int(ok: int, bad: int) -> bool:
+    """Whether the bracket's ends are adjacent integers."""
+    return ok - bad <= 1
 
 
 @dataclass(frozen=True)
@@ -316,17 +317,17 @@ class _Ray:
 
     From `start`, `step` moves toward the limit, where the tail falls
     (t halves on the float rays, N doubles on the integer one); the
-    witness search walks at least that far a step.  `split(ok, bad)` is
-    the midpoint of a certified point and a refused one, or None once the
-    bracket is tight enough (within 10%, or adjacent integers); the search
-    stops there.
+    witness search walks at least that far a step.  `tight(ok, bad)` says
+    whether a certified point and a refused one bracket the boundary
+    closely enough (within 10% or adjacent doubles, or adjacent integers);
+    the search stops there.
     """
 
     build: Callable[..., ParamSet]
     start: Union[float, int]
     description: str
     step: Callable = _halve
-    split: Callable = _split_float
+    tight: Callable[..., bool] = _tight_float
 
 
 # --- one record per family ----------------------------------------------------
@@ -382,6 +383,12 @@ class Family:
     survival_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X >= e^u)
     support: Optional[Callable[[_Params], tuple[int, int]]] = None  # kmin, kmax
     log_pmfs: Optional[Callable[[_Params, int], Iterator[float]]] = None  # from k0 on
+    # (name, int or float) per field, in field order: the types _checked's fast path takes
+    kinds: tuple[tuple[str, type], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kinds", tuple(
+            (name, int if name in self.integer_fields else float) for name in self.fields))
 
 
 def _require(*rules):
@@ -746,7 +753,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=hypergeometric(30, 100, 20),
         grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
         ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
-                 step=lambda N: 2 * N, split=_split_int),
+                 step=lambda N: 2 * N, tight=_tight_int),
         support=_hypergeometric_support, log_pmfs=_hypergeometric_log_pmfs),
     FamilyId.GAMMA: Family(
         fields=("alpha", "beta"), check=_positive("alpha", "beta"),
@@ -807,8 +814,25 @@ def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
     """ps's record, its parameters and its violations.  Once each value is a
     number within a double (and an integer where the field is), integer fields
     are typed as int and the rest as float, and the constraints are checked on
-    these values, the ones the record computes with."""
+    these values, the ones the record computes with.
+
+    A dict holding exactly the record's fields, each already an int or a
+    float within a double as its field is typed, is typed in one pass and
+    used as it is; any other set (numpy scalars, an int in a float field,
+    an integral float in an int field) goes through _checked_in_full."""
     law = _FAMILIES[ps.family]
+    params = ps.params
+    if type(params) is dict and len(params) == len(law.fields):
+        for name, kind in law.kinds:
+            value = params.get(name)
+            if not (type(value) is kind and -_DOUBLE_MAX <= value <= _DOUBLE_MAX):
+                return _checked_in_full(ps, law)
+        return law, params, law.check(params)
+    return _checked_in_full(ps, law)
+
+
+def _checked_in_full(ps: ParamSet, law: Family) -> tuple[Family, _Params, list[str]]:
+    """_checked for any parameter set, reporting each structural problem in order."""
     problems: list[str] = []
     got = set(ps.params)
     expected = set(law.fields)

@@ -227,7 +227,11 @@ def grid_infimum(family: Union[FamilyId, str], y: float, grid: GridSpec) -> Infi
     """Minimum standardized tail over every grid point, with its argmin.
 
     Every completed grid point must be a valid parameter set; an invalid
-    range is the caller's error, not a point to skip silently.
+    range is the caller's error, not a point to skip silently.  Each point
+    is validated once, by its tail_probability call; only when that call
+    raises DomainError is the point validated again, so that an invalid
+    point is refused as "grid point {...} violates <family> constraints: ..."
+    while a valid point keeps the DomainError its tail (or y) raised.
     """
     family = _as_family(family)
     names = sorted(grid.axes)
@@ -238,12 +242,15 @@ def grid_infimum(family: Union[FamilyId, str], y: float, grid: GridSpec) -> Infi
         point = dict(grid.fixed)
         point.update(zip(names, combo))
         ps = ParamSet(family, _complete_point(family, point))
-        problems = validate(ps)
-        if problems:
-            raise DomainError(
-                f"grid point {ps.params!r} violates {family.value} constraints: "
-                + "; ".join(problems))
-        tail = tail_probability(ps, y).probability
+        try:
+            tail = tail_probability(ps, y).probability
+        except DomainError:
+            problems = validate(ps)
+            if problems:
+                raise DomainError(
+                    f"grid point {ps.params!r} violates {family.value} constraints: "
+                    + "; ".join(problems)) from None
+            raise
         if best is None or tail < best:
             best, best_ps = tail, ps
     assert best is not None and best_ps is not None

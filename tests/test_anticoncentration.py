@@ -6,6 +6,7 @@ route, independent of this package's hypergeometric series) and from a
 brute-force max over n <= 400 run against it.
 """
 
+import dataclasses
 import math
 import random
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import anticonc as ac
-from anticonc import FamilyId, anticoncentration, distributions
+from anticonc import FamilyId, anticoncentration, distributions, oracle
 from anticonc.errors import DomainError, SearchError
 
 SQRT3 = math.sqrt(3.0)
@@ -425,6 +426,24 @@ class TestWitnesses:
         # on this stretch the tail is exactly the mass above zero
         assert w.achieved_tail == pytest.approx(-math.expm1(-lam), abs=1e-13)
 
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 10.0])
+    def test_poisson_certificate_at_the_smallest_subnormal(self, y):
+        # no double lies between 5e-324 and 1e-323, so the search stops at
+        # the adjacent ends; it used to evaluate one point until out of steps
+        w = ac.witness_parameter("poisson", y, 5e-324)
+        lam = w.params["lambda"]
+        assert lam > 0.0 and w.achieved_tail <= 5e-324
+        with mpmath.workdps(60):
+            # lambda < y*sigma < 1 - lambda: the tail is the mass above zero
+            assert -mpmath.expm1(-mpmath.mpf(lam)) <= mpmath.mpf(5e-324)
+
+    def test_a_float_bracket_is_tight_within_ten_percent_or_adjacent(self):
+        tight = distributions._tight_float
+        assert tight(1.0, 1.05) and not tight(1.0, 1.2)
+        assert tight(5e-324, 1e-323) and not tight(5e-324, 1.5e-323)
+        assert tight(1e-310, math.nextafter(1e-310, 1.0))
+        assert distributions._tight_int(200, 199) and not distributions._tight_int(200, 198)
+
     def test_neg_binomial_certificate_on_ray(self):
         w = ac.witness_parameter("neg-binomial", 1.0, 1e-3)
         assert w.params["r"] == 1.0
@@ -530,6 +549,39 @@ class TestWitnesses:
         assert len(counts) == 189
         assert sum(counts) / len(counts) <= 7
         assert max(counts) <= 12
+
+    def test_searches_and_grids_call_tail_probability_by_module_name(self, monkeypatch):
+        # bench/tracing.py counts the tails of each witness search and grid by
+        # wrapping the tail_probability these modules bind; a bypass reads 0
+        calls = []
+        real = distributions.tail_probability
+
+        def counting(ps, y):
+            calls.append(ps)
+            return real(ps, y)
+        monkeypatch.setattr(anticoncentration, "tail_probability", counting)
+        monkeypatch.setattr(oracle, "tail_probability", counting)
+        for family in sorted(ac.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value):
+            law = distributions._FAMILIES[family]
+            builds = []
+
+            def build(t, ray=law.ray):
+                builds.append(t)
+                return ray.build(t)
+            monkeypatch.setitem(distributions._FAMILIES, family, dataclasses.replace(
+                law, ray=dataclasses.replace(law.ray, build=build)))
+            for epsilon in (1e-3, 1e-6):
+                calls.clear()
+                builds.clear()
+                w = ac.witness_parameter(family, 1.0, epsilon)
+                # one tail per point the search steps to; the last build is the witness's
+                assert len(calls) == len(builds) - 1 >= 1, (family, epsilon)
+                assert w.params in calls
+        for family in FamilyId:
+            grid = ac.default_grid(family)
+            calls.clear()
+            ac.grid_infimum(family, 1.1, grid)
+            assert len(calls) == math.prod(len(a.values()) for a in grid.axes.values())
 
     def test_ray_descriptions_exist_for_all_nine(self):
         for family in ac.ZERO_INFIMUM_FAMILIES:

@@ -197,6 +197,87 @@ class TestValidate:
             ac.tail_probability(ac.student_t(2), 1.0)
 
 
+def panel_forms(family):
+    """The family's panel law as the forms a caller may write its parameters in."""
+    law = distributions._FAMILIES[family]
+    params = law.panel.params
+    ints = {name: int(v) if float(v).is_integer() else v for name, v in params.items()}
+    return {
+        "floats": {name: float(v) for name, v in params.items()},
+        "ints-where-integral": ints,
+        "numpy-float64": {name: np.float64(v) for name, v in params.items()},
+        "integer-fields-as-floats": {
+            name: float(v) if name in law.integer_fields else v for name, v in params.items()},
+    }
+
+
+def typed_checked(ps):
+    """_checked's verdict with each typed value's type, so int 3 and float 3.0 differ."""
+    law, typed, problems = distributions._checked(ps)
+    return law, [(name, type(v), v) for name, v in sorted(typed.items())], problems
+
+
+def typed_in_full(ps):
+    law, typed, problems = distributions._checked_in_full(ps, distributions._FAMILIES[ps.family])
+    return law, [(name, type(v), v) for name, v in sorted(typed.items())], problems
+
+
+FAMILIES = sorted(FamilyId, key=lambda f: f.value)
+
+
+class TestFastValidation:
+    """_checked types a well-formed dict in one pass; every other set goes the full way."""
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_every_form_of_the_panel_law_gives_the_same_numbers(self, family):
+        panel = distributions._FAMILIES[family].panel
+        want = ac.moments(panel)
+        x = want.mean
+        for form, params in panel_forms(family).items():
+            ps = ParamSet(family, params)
+            assert typed_checked(ps) == typed_in_full(ps) == typed_checked(panel), form
+            assert repr(ac.moments(ps)) == repr(want), form
+            assert repr(ac.cdf(ps, x)) == repr(ac.cdf(panel, x)), form
+            for y in (0.5, 1.0, 2.0):
+                got = ac.tail_probability(ps, y)
+                assert repr(got) == repr(ac.tail_probability(panel, y)), (form, y)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_the_panel_law_takes_the_fast_path(self, family, monkeypatch):
+        # a constructor's exact ints and floats never reach the full routine
+        def refuse(ps, law):
+            raise AssertionError(f"{ps!r} took the full routine")
+        monkeypatch.setattr(distributions, "_checked_in_full", refuse)
+        panel = distributions._FAMILIES[family].panel
+        assert ac.validate(panel) == []
+        ac.tail_probability(panel, 1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_malformed_sets_give_the_full_routines_problems(self, family):
+        law = distributions._FAMILIES[family]
+        panel = dict(law.panel.params)
+        sets = [{k: v for k, v in panel.items() if k != name} for name in law.fields]
+        sets.append({**panel, "zeta": 1.0})
+        bad = [None, True, math.nan, math.inf, -math.inf, 1.8e308, 10**400, np.int64(3)]
+        for name in law.fields:
+            sets.extend({**panel, name: value} for value in bad)
+            if name in law.integer_fields:
+                sets.append({**panel, name: 2.5})
+        for params in sets:
+            ps = ParamSet(family, params)
+            problems = distributions._checked_in_full(ps, law)[2]
+            assert problems, params
+            assert ac.validate(ps) == problems, params
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_constraint_violations_match_the_full_routine(self, family):
+        law = distributions._FAMILIES[family]
+        for name, kind in law.kinds:
+            for value in (kind(0), kind(-1), kind(10**6)):
+                ps = ParamSet(family, {**law.panel.params, name: value})
+                assert typed_checked(ps) == typed_in_full(ps), (name, value)
+
+
 class TestMoments:
     def test_exponential(self):
         m = ac.moments(ac.exponential(2.0))

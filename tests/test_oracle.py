@@ -328,6 +328,27 @@ class TestGridInfimum:
         with pytest.raises(DomainError):
             ac.grid_infimum("pareto", 1.0, bad)
 
+    def test_invalid_grid_point_is_named_with_its_violations(self):
+        bad = GridSpec(axes={"r": GridAxis(1.5, 3.0, 4)}, fixed={"A": 1.0})
+        with pytest.raises(DomainError) as info:
+            ac.grid_infimum("pareto", 1.0, bad)
+        assert str(info.value) == ("grid point {'A': 1.0, 'r': 1.5} violates pareto "
+                                   "constraints: r must exceed 2 for finite variance")
+
+    def test_valid_point_whose_tail_refuses_keeps_that_error(self):
+        # every point is a valid binomial law, but n = 2 * 10**6 is past the pmf-sum limit
+        grid = GridSpec(axes={"p": GridAxis(0.1, 0.5, 3)}, fixed={"n": 2 * 10**6})
+        with pytest.raises(DomainError) as info:
+            ac.grid_infimum("binomial", 1.0, grid)
+        assert str(info.value) == ("the binomial pmf sum is answered only for n <= 10**6, "
+                                   "got n=2000000")
+
+    @pytest.mark.parametrize("y", [0.0, -1.0, math.nan])
+    def test_bad_y_over_valid_points_is_named_as_y(self, y):
+        with pytest.raises(DomainError) as info:
+            ac.grid_infimum("poisson", y, ac.default_grid("poisson"))
+        assert str(info.value) == f"y must be a positive real, got {y!r}"
+
     def test_refinement_never_raises_the_value(self):
         for family, axis_name in (("uniform", "b"), ("poisson", "lambda"),
                                   ("gamma", "alpha")):
