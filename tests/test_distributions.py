@@ -211,15 +211,18 @@ def panel_forms(family):
     }
 
 
-def typed_checked(ps):
-    """_checked's verdict with each typed value's type, so int 3 and float 3.0 differ."""
-    law, typed, problems = distributions._checked(ps)
+def with_types(verdict):
+    """A _checked verdict with each typed value's type, so int 3 and float 3.0 differ."""
+    law, typed, problems = verdict
     return law, [(name, type(v), v) for name, v in sorted(typed.items())], problems
+
+
+def typed_checked(ps):
+    return with_types(distributions._checked(ps))
 
 
 def typed_in_full(ps):
-    law, typed, problems = distributions._checked_in_full(ps, distributions._FAMILIES[ps.family])
-    return law, [(name, type(v), v) for name, v in sorted(typed.items())], problems
+    return with_types(distributions._checked_in_full(ps, distributions._FAMILIES[ps.family]))
 
 
 FAMILIES = sorted(FamilyId, key=lambda f: f.value)
