@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import anticoncentration as anti
@@ -54,10 +55,13 @@ def _curve_row(family: FamilyId, y: float):
 
 def cmd_curve(args) -> int:
     family = dist._as_family(args.family)
+    for flag, y in (("--y-min", args.y_min), ("--y-max", args.y_max)):
+        if not math.isfinite(y):
+            raise DomainError(f"{flag} must be finite, got {y}")
     if not (0.0 < args.y_min < args.y_max):
         raise DomainError(f"need 0 < y-min < y-max, got [{args.y_min}, {args.y_max}]")
-    if args.steps < 2:
-        raise DomainError(f"steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= 10**6:  # GridAxis's rule; linspace allocates every point
+        raise DomainError(f"steps must be from 2 to 10**6, got {args.steps}")
     if (family is FamilyId.STUDENT_T and not args.numeric_fallback
             and args.y_max >= anti.STUDENT_T_Y_MAX):
         raise DomainError(

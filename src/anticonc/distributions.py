@@ -352,8 +352,9 @@ class Family:
     hypergeometric give their bounded integer support, which refuses a law
     too large for exact integer terms, and `log_pmfs(p, k0)`, an iterator
     over log pmf(k0), log pmf(k0 + 1), ... that the caller never advances
-    past its last k.  Each function sees the parameters typed once:
-    integer fields as int, the rest as float.  `sample` draws variate by
+    past its last k.  Each function sees the parameters as `_checked`
+    types them, in one pass over `fields`: the fields named in
+    `integer_fields` as int, the rest as float.  `sample` draws variate by
     variate, so draws made in blocks replay one array of the same total,
     bit for bit.
 
@@ -374,7 +375,7 @@ class Family:
     panel: ParamSet
     grid: GridSpec
     ray: Optional[_Ray] = None
-    integer_fields: tuple[str, ...] = ()
+    integer_fields: tuple[str, ...] = ()  # in field order; typed as int, the rest as float
     cdf: Optional[Callable[[_Params, float], float]] = None  # P(X <= x)
     survival: Optional[Callable[[_Params, float], float]] = None  # P(X >= x)
     std_tail: Optional[Callable[[float], float]] = None  # P(|X - mu| >= y*sigma), any member
@@ -383,12 +384,6 @@ class Family:
     survival_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X >= e^u)
     support: Optional[Callable[[_Params], tuple[int, int]]] = None  # kmin, kmax
     log_pmfs: Optional[Callable[[_Params, int], Iterator[float]]] = None  # from k0 on
-    # (name, int or float) per field, in field order: the types _checked's fast path takes
-    kinds: tuple[tuple[str, type], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "kinds", tuple(
-            (name, int if name in self.integer_fields else float) for name in self.fields))
 
 
 def _require(*rules):
@@ -811,52 +806,49 @@ _FAMILIES: dict[FamilyId, Family] = {
 # --- the public operations, generic over the table ------------------------------
 
 def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
-    """ps's record, its parameters and its violations.  Once each value is a
-    number within a double (and an integer where the field is), integer fields
-    are typed as int and the rest as float, and the constraints are checked on
-    these values, the ones the record computes with.
+    """ps's record, its parameters and its violations.
 
-    A dict holding exactly the record's fields, each already an int or a
-    float within a double as its field is typed, is typed in one pass and
-    used as it is; any other set (numpy scalars, an int in a float field,
-    an integral float in an int field) goes through _checked_in_full."""
+    One pass over the record's fields types each value once it is a number
+    within a double: an integer field takes int(value) for an int or an
+    integral float, any other field float(value) (numpy's float64 is a
+    float).  The constraints are then checked on these typed values, the
+    ones the record computes with.  A set that cannot be typed is handed
+    back as it is, with the problems _untyped finds in it."""
     law = _FAMILIES[ps.family]
     params = ps.params
-    if type(params) is dict and len(params) == len(law.fields):
-        for name, kind in law.kinds:
+    integer_fields = law.integer_fields
+    typed = {}
+    if len(params) == len(law.fields):
+        for name in law.fields:
             value = params.get(name)
-            if not (type(value) is kind and -_DOUBLE_MAX <= value <= _DOUBLE_MAX):
-                return _checked_in_full(ps, law)
-        return law, params, law.check(params)
-    return _checked_in_full(ps, law)
-
-
-def _checked_in_full(ps: ParamSet, law: Family) -> tuple[Family, _Params, list[str]]:
-    """_checked for any parameter set, reporting each structural problem in order."""
-    problems: list[str] = []
-    got = set(ps.params)
-    expected = set(law.fields)
-    for name in sorted(expected - got):
-        problems.append(f"missing parameter {name!r}")
-    for name in sorted(got - expected):
-        problems.append(f"unexpected parameter {name!r}")
-    typed: dict = {}
-    fractional = []  # reported only once every field is present and a number
-    for name in law.fields:
-        if name not in ps.params:
-            continue
-        value = ps.params[name]
-        if not _is_number(value):
-            problems.append(f"parameter {name!r} must be a finite number, got {value!r}")
-        elif name not in law.integer_fields:
-            typed[name] = float(value)
-        elif isinstance(value, int) or value.is_integer():
-            typed[name] = int(value)
+            # _is_number's rule, written out: it runs once per field of every call
+            if type(value) is int and -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
+                typed[name] = value if name in integer_fields else float(value)
+            elif isinstance(value, float) and -_DOUBLE_MAX <= value <= _DOUBLE_MAX:
+                if name not in integer_fields:
+                    typed[name] = float(value)
+                elif value.is_integer():
+                    typed[name] = int(value)
+                else:
+                    break
+            else:
+                break
         else:
-            fractional.append(f"{name} must be an integer")
-    if problems or fractional:
-        return law, ps.params, problems or fractional
-    return law, typed, law.check(typed)
+            return law, typed, law.check(typed)
+    return law, params, _untyped(law, params)
+
+
+def _untyped(law: Family, params: _Params) -> list[str]:
+    """Why params cannot be typed for law: missing names, unexpected names and
+    non-numbers in that order, or else, with none of these, each integer
+    field that holds a fractional value."""
+    got, expected = set(params), set(law.fields)
+    problems = [f"missing parameter {name!r}" for name in sorted(expected - got)]
+    problems += [f"unexpected parameter {name!r}" for name in sorted(got - expected)]
+    problems += [f"parameter {name!r} must be a finite number, got {params[name]!r}"
+                 for name in law.fields if name in got and not _is_number(params[name])]
+    return problems or [f"{name} must be an integer" for name in law.integer_fields
+                        if not float(params[name]).is_integer()]
 
 
 def validate(ps: ParamSet) -> list[str]:

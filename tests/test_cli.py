@@ -92,6 +92,30 @@ class TestCurve:
                            "--y-min", "2", "--y-max", "1", "--steps", "4")
         assert code == 2 and "y-min" in err
 
+    @pytest.mark.parametrize("family", ["poisson", "gaussian"])
+    @pytest.mark.parametrize("flag,value", [("--y-max", "inf"), ("--y-max", "1e309"),
+                                            ("--y-min", "nan"), ("--y-max", "nan")])
+    def test_a_non_finite_y_bound_is_refused_by_its_flag(self, capsys, family, flag, value):
+        # a zero-infimum and an anti-concentrated family: neither prints a row at nan or inf
+        bounds = {"--y-min": "1", "--y-max": "2", flag: value}
+        code, out, err = run(capsys, "curve", "--family", family, "--y-min", bounds["--y-min"],
+                             "--y-max", bounds["--y-max"], "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("steps", [1, 10**6 + 1])
+    def test_steps_outside_two_to_a_million_are_refused_before_the_grid(self, capsys,
+                                                                        monkeypatch, steps):
+        import numpy as np
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the y grid was allocated")
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run(capsys, "curve", "--family", "poisson",
+                             "--y-min", "0.5", "--y-max", "1", "--steps", str(steps))
+        assert (code, out) == (2, "")
+        assert err == f"error: steps must be from 2 to 10**6, got {steps}\n"
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "curve", "--family", "cauchy",
                            "--y-min", "0.5", "--y-max", "1", "--steps", "2")

@@ -21,6 +21,7 @@ from anticonc import FamilyId, ParamSet, cli, distributions
 from anticonc.errors import DomainError
 
 import exact
+import reference_validation
 
 
 def rng_from(seed):
@@ -197,10 +198,10 @@ class TestValidate:
             ac.tail_probability(ac.student_t(2), 1.0)
 
 
-def panel_forms(family):
-    """The family's panel law as the forms a caller may write its parameters in."""
-    law = distributions._FAMILIES[family]
-    params = law.panel.params
+def law_forms(ps):
+    """The law ps as the forms a caller may write its parameters in."""
+    law = distributions._FAMILIES[ps.family]
+    params = ps.params
     ints = {name: int(v) if float(v).is_integer() else v for name, v in params.items()}
     return {
         "floats": {name: float(v) for name, v in params.items()},
@@ -221,39 +222,55 @@ def typed_checked(ps):
     return with_types(distributions._checked(ps))
 
 
-def typed_in_full(ps):
-    return with_types(distributions._checked_in_full(ps, distributions._FAMILIES[ps.family]))
+def typed_reference(ps):
+    return with_types(reference_validation.checked(ps))
 
 
 FAMILIES = sorted(FamilyId, key=lambda f: f.value)
 
+# each family's panel law, and the heaviest `tails` bench law, built with an int r
+FORM_LAWS = {**{f.value: distributions._FAMILIES[f].panel for f in FAMILIES},
+             "neg-binomial-100-0.01": ac.neg_binomial(100, 0.01)}
 
-class TestFastValidation:
-    """_checked types a well-formed dict in one pass; every other set goes the full way."""
+# values a caller may put in a field: numbers of each type, at and past the edges
+VALUE_POOL = [None, True, False, "1", math.nan, math.inf, -math.inf, 1.8e308, -1.7e308,
+              10**400, -10**400, np.int64(3), np.float64(2.5), np.float64(3.0), np.float32(2.0),
+              2**60 + 1, 2**53 + 1, -1, 0, 1, 2, 3, 20, 10**6, -0.0, 0.3, 1.0, 2.5, 3.0, 5e-324]
 
-    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-    def test_every_form_of_the_panel_law_gives_the_same_numbers(self, family):
-        panel = distributions._FAMILIES[family].panel
-        want = ac.moments(panel)
+
+class TestOneValidation:
+    """_checked types every parameter set in one loop; the routine it replaced,
+    copied into reference_validation, is the oracle for its values and messages."""
+
+    @pytest.mark.parametrize("name", sorted(FORM_LAWS))
+    def test_every_form_of_the_panel_law_gives_the_same_numbers(self, name, capsys):
+        ref = FORM_LAWS[name]
+        want = ac.moments(ref)
         x = want.mean
-        for form, params in panel_forms(family).items():
-            ps = ParamSet(family, params)
-            assert typed_checked(ps) == typed_in_full(ps) == typed_checked(panel), form
+        forms = law_forms(ref)
+        for form, params in forms.items():
+            ps = ParamSet(ref.family, params)
+            assert typed_checked(ps) == typed_reference(ps) == typed_checked(ref), form
             assert repr(ac.moments(ps)) == repr(want), form
-            assert repr(ac.cdf(ps, x)) == repr(ac.cdf(panel, x)), form
+            assert repr(ac.cdf(ps, x)) == repr(ac.cdf(ref, x)), form
             for y in (0.5, 1.0, 2.0):
                 got = ac.tail_probability(ps, y)
-                assert repr(got) == repr(ac.tail_probability(panel, y)), (form, y)
+                assert repr(got) == repr(ac.tail_probability(ref, y)), (form, y)
+        # `anticonc tail --params` parses an integral JSON number as an int
+        printed = []
+        for form in ("floats", "ints-where-integral"):
+            assert cli.main(["tail", "--family", ref.family.value, "--y", "1",
+                             "--params", json.dumps(forms[form])]) == 0, form
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-    def test_the_panel_law_takes_the_fast_path(self, family, monkeypatch):
-        # a constructor's exact ints and floats never reach the full routine
-        def refuse(ps, law):
-            raise AssertionError(f"{ps!r} took the full routine")
-        monkeypatch.setattr(distributions, "_checked_in_full", refuse)
-        panel = distributions._FAMILIES[family].panel
-        assert ac.validate(panel) == []
-        ac.tail_probability(panel, 1.0)
+    def test_every_value_is_typed_as_the_full_routine_types_it(self, family):
+        panel = distributions._FAMILIES[family].panel.params
+        for name in panel:
+            for value in VALUE_POOL:
+                ps = ParamSet(family, {**panel, name: value})
+                assert typed_checked(ps) == typed_reference(ps), (name, value)
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
     def test_malformed_sets_give_the_full_routines_problems(self, family):
@@ -261,24 +278,29 @@ class TestFastValidation:
         panel = dict(law.panel.params)
         sets = [{k: v for k, v in panel.items() if k != name} for name in law.fields]
         sets.append({**panel, "zeta": 1.0})
+        sets.append({"zeta": None})
         bad = [None, True, math.nan, math.inf, -math.inf, 1.8e308, 10**400, np.int64(3)]
         for name in law.fields:
             sets.extend({**panel, name: value} for value in bad)
+            sets.append({**{k: v for k, v in panel.items() if k != name}, "zeta": math.nan})
             if name in law.integer_fields:
                 sets.append({**panel, name: 2.5})
+                sets.append({**panel, name: 2.5, "zeta": 1.0})
         for params in sets:
             ps = ParamSet(family, params)
-            problems = distributions._checked_in_full(ps, law)[2]
+            problems = reference_validation.checked(ps)[2]
             assert problems, params
             assert ac.validate(ps) == problems, params
+            assert typed_checked(ps) == typed_reference(ps), params
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
     def test_constraint_violations_match_the_full_routine(self, family):
         law = distributions._FAMILIES[family]
-        for name, kind in law.kinds:
+        for name in law.fields:
+            kind = int if name in law.integer_fields else float
             for value in (kind(0), kind(-1), kind(10**6)):
                 ps = ParamSet(family, {**law.panel.params, name: value})
-                assert typed_checked(ps) == typed_in_full(ps), (name, value)
+                assert typed_checked(ps) == typed_reference(ps), (name, value)
 
 
 class TestMoments:
