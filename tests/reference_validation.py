@@ -1,6 +1,6 @@
 """The validation routine `distributions._checked` must agree with.
 
-`checked_in_full` is the routine that typed every parameter set before
+`_checked_in_full` is the routine that typed every parameter set before
 `_checked` became one loop over the fields, copied here unchanged as the
 oracle for the typed values, their types and the problems and their order.
 """
