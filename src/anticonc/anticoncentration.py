@@ -246,6 +246,10 @@ _MAX_STRIDE = 16.0 * math.log(2.0)
 # pass a point whose true tail is above epsilon
 _FLOAT_MARGIN = 1.05
 
+# a float ray's search starts this far inside its lead, so that a lead a
+# little short of the boundary still certifies
+_LEAD_PULL = 0.98
+
 
 def _log_log(p: float) -> float:
     """log(-log p): +inf at p = 0, -inf at p = 1."""
@@ -267,53 +271,16 @@ def _moved(t: Union[float, int], du: float) -> Union[float, int]:
     return (t * num + den // 2) // den
 
 
-def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) -> Witness:
-    """Concrete parameters with standardized tail at most epsilon.
-
-    Works in u = log t (u = -log N on the hypergeometric ray), which falls
-    toward the family's degenerate limit, and evaluates the ray's start
-    first.  While no point certifies, it walks along the secant of
-    log(tail) through its last two points, each step at least one
-    `ray.step` and at most a factor of 2^16.  Once it holds a certified
-    point and a refused one, it interpolates between them in
-    (u, log(-log tail)) by the Illinois rule (Dowell & Jarratt, BIT 11,
-    1971), taking the geometric midpoint where a tail is 0 or 1, until
-    `ray.tight` finds the bracket tight: within 10% or adjacent doubles on a
-    float ray (the smallest subnormals are never within 10%), N and N - 1 on
-    the integer one.  A float ray certifies a tail at most
-    epsilon / 1.05, the integer ray a tail at most epsilon.  Each step after
-    the start counts against _MAX_WITNESS_STEPS.  The achieved tail always
-    comes from the exact tail engine, and a ray point that leaves the range
-    of a double is refused with a DomainError naming the ray and that point.
-    """
-    family = _as_family(family)
-    ray = _ray(family)
-    y = _check_y(y)
-    if not (_is_number(epsilon) and 0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    epsilon = float(epsilon)
-    integer = isinstance(ray.start, int)
-    aim = epsilon if integer else epsilon / _FLOAT_MARGIN
-    calls = 0
-
-    def tail_at(t):
-        # every call after the one at the start is a step
-        nonlocal calls
-        if calls > _MAX_WITNESS_STEPS:
-            raise SearchError(f"{family.value} witness search exceeded "
-                              f"{_MAX_WITNESS_STEPS} steps (y={y}, epsilon={epsilon})")
-        calls += 1
-        try:
-            return tail_probability(ray.build(t), y).probability
-        except DomainError as exc:
-            raise DomainError(f"the {family.value} witness ray ({ray.description}) "
-                              f"leaves the range of a double at t = {t!r}: {exc}") from None
-
-    # walk until a point certifies; a certified start returns at once
-    t = ray.start
+def _search(ray: _Ray, aim: float, t: Union[float, int],
+            tail_at: Callable) -> tuple[Union[float, int], float]:
+    """A certified ray point and its tail, from the first point t on: a
+    certified t is returned at once, and a refused one walks toward the
+    limit until a point certifies, after which the Illinois rule narrows
+    the bracket until `ray.tight` holds (see witness_parameter)."""
     tail = tail_at(t)
     if tail <= aim:
-        return Witness(family, y, epsilon, ray.build(t), tail)
+        return t, tail
+    # walk until a point certifies; every later point lies past t
     last = None  # (u, log tail) of the refused point before
     while tail > aim:
         u, log_tail = _u(t), math.log(tail)
@@ -337,7 +304,7 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
             t = _moved(ok, (u_bad - u_ok) * g_ok / (g_ok - g_bad))
         else:
             t = _moved(ok, 0.5 * (u_bad - u_ok))
-        if integer:
+        if isinstance(t, int):
             t = min(max(t, bad + 1), ok - 1)
         elif not ok < t < bad:
             t = _moved(ok, 0.5 * (u_bad - u_ok))
@@ -352,4 +319,70 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
                 g_ok *= 0.5
             bad, g_bad = t, g
         last_ok = tail <= aim
-    return Witness(family, y, epsilon, ray.build(ok), ok_tail)
+    return ok, ok_tail
+
+
+def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) -> Witness:
+    """Concrete parameters with standardized tail at most epsilon.
+
+    Works in u = log t (u = -log N on the hypergeometric ray), which falls
+    toward the family's degenerate limit.  The search starts at the ray's
+    lead, the inverse at the target of the ray's exact tail next to its
+    limit (`_Ray.form`): the integer ray's lead as it is, a float ray's
+    pulled in by a factor of 0.98, or `ray.start` where the ray has no lead.
+    A first point that certifies is returned at once.  On the integer ray
+    that keeps every certificate on the stretch at N >= ceil(1/epsilon),
+    where the exact tail 1/N is at most epsilon: the search never tries an
+    N short of its lead, whose 1 - inner could round 1/N > epsilon down to
+    epsilon.  While no point certifies, it walks along the secant of
+    log(tail) through its last two points, each step at least one
+    `ray.step` and at most a factor of 2^16.  Once it holds a certified
+    point and a refused one, it interpolates between them in
+    (u, log(-log tail)) by the Illinois rule (Dowell & Jarratt, BIT 11,
+    1971), taking the geometric midpoint where a tail is 0 or 1, until
+    `ray.tight` finds the bracket tight: within 10% or adjacent doubles on a
+    float ray (the smallest subnormals are never within 10%), N and N - 1 on
+    the integer one.  A float ray certifies a tail at most epsilon / 1.05,
+    the integer ray a tail at most epsilon.  Each step after the first
+    point counts against _MAX_WITNESS_STEPS.  The achieved tail always
+    comes from the exact tail engine.  A search from the lead that leaves
+    the range of a double falls back on `ray.start`, which certifies a tail
+    of 0 where y puts both sides of its law out of the event (the
+    binomial, hypergeometric and beta at y = 2); where the start does not
+    certify, the DomainError naming the ray and the point past a double
+    stands.
+    """
+    family = _as_family(family)
+    ray = _ray(family)
+    y = _check_y(y)
+    if not (_is_number(epsilon) and 0.0 < epsilon < 1.0):
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    epsilon = float(epsilon)
+    integer = isinstance(ray.start, int)
+    aim = epsilon if integer else epsilon / _FLOAT_MARGIN
+    calls = 0
+
+    def tail_at(t):
+        # every call after the first is a step
+        nonlocal calls
+        if calls > _MAX_WITNESS_STEPS:
+            raise SearchError(f"{family.value} witness search exceeded "
+                              f"{_MAX_WITNESS_STEPS} steps (y={y}, epsilon={epsilon})")
+        calls += 1
+        try:
+            return tail_probability(ray.build(t), y).probability
+        except DomainError as exc:
+            raise DomainError(f"the {family.value} witness ray ({ray.description}) "
+                              f"leaves the range of a double at t = {t!r}: {exc}") from None
+
+    lead = ray.lead(y, aim)
+    if lead is None:
+        t, tail = _search(ray, aim, ray.start, tail_at)
+    else:
+        try:
+            t, tail = _search(ray, aim, lead if integer else _LEAD_PULL * lead, tail_at)
+        except DomainError:
+            t, tail = ray.start, tail_at(ray.start)
+            if tail > aim:
+                raise
+    return Witness(family, y, epsilon, ray.build(t), tail)

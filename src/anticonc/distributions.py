@@ -315,10 +315,17 @@ def _tight_int(ok: int, bad: int) -> bool:
 class _Ray:
     """One-dimensional path to the family's degenerate limit.
 
-    From `start`, `step` moves toward the limit, where the tail falls
-    (t halves on the float rays, N doubles on the integer one); the
-    witness search walks at least that far a step.  `tight(ok, bad)` says
-    whether a certified point and a refused one bracket the boundary
+    Next to the limit lies a stretch of the ray where one side of the
+    event is empty, and there the tail is one elementary expression of t
+    and y, `form(t, y)` (the gamma's is the incomplete gamma
+    Q(t, t + y sqrt(t))).  `lead(y, aim)` inverts it: a point of the stretch
+    where the form is about aim, or None where the stretch is empty in
+    doubles.  The integer ray's lead is exact, the first N on the stretch
+    with 1/N <= aim; a float ray's is a closed form or a few secant steps.
+    From `start`, or from the lead, `step` moves toward the limit, where the
+    tail falls (t halves on the float rays, N doubles on the integer one);
+    the witness search walks at least that far a step.  `tight(ok, bad)`
+    says whether a certified point and a refused one bracket the boundary
     closely enough (within 10% or adjacent doubles, or adjacent integers);
     the search stops there.
     """
@@ -326,6 +333,8 @@ class _Ray:
     build: Callable[..., ParamSet]
     start: Union[float, int]
     description: str
+    form: Callable[..., float]
+    lead: Callable[[float, float], Union[float, int, None]]
     step: Callable = _halve
     tight: Callable[..., bool] = _tight_float
 
@@ -669,6 +678,107 @@ def _beta_sides(p: _Params, x: float) -> tuple[float, float]:
     return _beta_tails(x, 1.0 - x, p["p"], p["q"])
 
 
+# --- each witness ray's tail next to its limit (`_Ray.form`) and its inverse (`_Ray.lead`);
+# an `_end` is the last t of a float ray's stretch, where the empty side starts to fill
+
+def _clipped(t: float, end: float) -> Optional[float]:
+    """t moved into the stretch (0, end], or None where that is empty in doubles."""
+    t = min(t, end)
+    return t if t > 0.0 else None
+
+
+def _secant_lead(form, guess, end):
+    """The lead of a float ray whose form has no closed inverse.
+
+    From guess(y, aim), at most three secant steps on log(-log form) in
+    log t, where each of these forms is nearly linear, kept in
+    (0, min(end(y), 1)] (these rays start at t = 1) and each at most a
+    factor e^4 toward the limit; None where the stretch is empty or the
+    form leaves (0, 1) on the way."""
+    def lead(y: float, aim: float) -> Optional[float]:
+        top = min(end(y), 1.0)
+        t = _clipped(guess(y, aim), top)
+        if t is None:
+            return None
+        goal, top = math.log(-math.log(aim)), math.log(top)
+
+        def gap(u: float) -> float:
+            t = math.exp(u)
+            f = form(t, y) if t > 0.0 else 0.0
+            return math.log(-math.log(f)) - goal if 0.0 < f < 1.0 else math.nan
+
+        u0, u1 = math.log(t), math.log(t) - 0.1
+        g0, g1 = gap(u0), gap(u1)
+        for step in range(3):
+            if not abs(g1 - g0) > 0.0:
+                return None
+            u = min(max(u1 - g1 * (u1 - u0) / (g1 - g0), u1 - 4.0), top)
+            if step == 2 or abs(u - u1) < 1e-6:
+                return math.exp(u)
+            u0, g0, u1, g1 = u1, g1, u, gap(u)
+    return lead
+
+
+def _hypergeometric_lead(y: float, aim: float) -> Optional[int]:
+    """The least N with 1/N <= aim on the stretch where the tail is exactly 1/N:
+    N - 1 >= y^2 puts the draw of the one failure in the event, and
+    (N - 1) y^2 > 1 keeps the other out.  Exact integers from the doubles'
+    ratios; None where the stretch starts past a double."""
+    a, b = aim.as_integer_ratio()
+    c, d = y.as_integer_ratio()
+    first = 1 + max(-(-(c * c) // (d * d)), d * d // (c * c) + 1)
+    return max(-(-b // a), first) if first <= _DOUBLE_MAX else None
+
+
+def _gamma_ray_form(t: float, y: float) -> float:
+    """Q(t, t + y sqrt(t)); the lower side is empty for t < y^2."""
+    return _gamma_tails(t, t + y * math.sqrt(t))[1]
+
+
+def _pareto_ray_form(t: float, y: float) -> float:
+    """(mu + y sigma)^(-r) for r = 2 + t, A = 1; the lower side is empty
+    for t (1 - y^2) <= 2 y^2.  0.0 where r rounds to 2."""
+    r = 2.0 + t
+    if r == 2.0:
+        return 0.0
+    return math.exp(-r * math.log(r / (r - 1.0) + y * math.sqrt(r / (r - 2.0)) / (r - 1.0)))
+
+
+def _weibull_ray_form(t: float, y: float) -> float:
+    """exp(-(mu + y sigma)^t) for lambda = 1, in logs; the lower side is
+    empty where mu <= y sigma (for every t <= 1 once y >= 1)."""
+    log_mean, log_sd = _weibull_log_moments({"alpha": t, "lambda": 1.0})
+    return math.exp(-math.exp(t * _log_add_exp(log_mean, math.log(y) + log_sd)))
+
+
+def _lognormal_ray_form(t: float, y: float) -> float:
+    """1/2 erfc(log(mu + y sigma) / (s sqrt 2)) for alpha = 0, s = 1/t, with
+    log mu = s^2/2 and log sigma = s^2/2 + log(e^(s^2) - 1)/2; the lower
+    side is empty for s^2 >= log1p(1/y^2)."""
+    s = 1.0 / t
+    z = 0.5 * s + _log_add_exp(0.0, math.log(y) + 0.5 * _log_expm1(s * s)) / s
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _lattice_end(y: float, c: float) -> float:
+    """The last t with t < y^2 and c t + y sqrt(t) <= 1: on the Poisson (c = 1)
+    and negative binomial (c = 2) rays, 0 leaves the event and 1 joins it."""
+    return min(y * y, _square(2.0 / (y + math.sqrt(y * y + 4.0 * c))))
+
+
+def _lognormal_end(y: float) -> float:
+    v = math.log1p(1.0 / y / y)
+    return 1.0 / math.sqrt(v) if v > 0.0 else math.inf
+
+
+def _beta_ray_form(t: float, y: float) -> float:
+    """1 - (1 - mu + y sigma)^t for p = 1, q = t, with 1 - mu = t/(1 + t);
+    0 where mu <= y sigma.  The upper side is empty for
+    t <= sqrt(1 + y^2) - 1."""
+    sd = math.sqrt(t / (2.0 + t)) / (1.0 + t)
+    return max(0.0, -math.expm1(t * math.log(t / (1.0 + t) + y * sd)))
+
+
 _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.UNIFORM: Family(
         fields=("a", "b"),
@@ -718,7 +828,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=lambda p, rng, size: rng.binomial(p["n"], p["p"], size),
         panel=binomial(20, 0.3),
         grid=GridSpec({"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"n": 1}),
-        ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0"),
+        # X = 1 alone lies in the event for t < min(y^2, 1) / (1 + y^2)
+        ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0", lambda t, y: t,
+                 lambda y, aim: _clipped(aim, 1.0 / (1.0 + _square(max(y, 1.0 / y))))),
         support=_binomial_support,
         log_pmfs=lambda p, k0: map(_binomial_log_pmf, itertools.repeat(p), itertools.count(k0))),
     FamilyId.POISSON: Family(
@@ -727,7 +839,8 @@ _FAMILIES: dict[FamilyId, Family] = {
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.poisson(p["lambda"], size),
         panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
-        ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0"),
+        ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0", lambda t, y: -math.expm1(-t),
+                 lambda y, aim: _clipped(-math.log1p(-aim), _lattice_end(y, 1.0))),
         cdf=_poisson_cdf, survival=_poisson_survival),
     FamilyId.NEG_BINOMIAL: Family(
         fields=("r", "p"),
@@ -738,7 +851,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=lambda p, rng, size: rng.negative_binomial(p["r"], p["p"], size),
         panel=neg_binomial(2.5, 0.4),
         grid=GridSpec({"q": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"r": 1.0}),
-        ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1"),
+        # the tail is the law's q, 1 - (1 - t) as p = 1 - t rounds
+        ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1",
+                 lambda t, y: 1.0 - (1.0 - t), lambda y, aim: _clipped(aim, _lattice_end(y, 2.0))),
         cdf=_neg_binomial_cdf, survival=_neg_binomial_survival),
     FamilyId.HYPERGEOMETRIC: Family(
         fields=("M", "N", "n"), integer_fields=("M", "N", "n"),
@@ -748,7 +863,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=hypergeometric(30, 100, 20),
         grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
         ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
-                 step=lambda N: 2 * N, tight=_tight_int),
+                 lambda N, y: 1 / N, _hypergeometric_lead, step=lambda N: 2 * N, tight=_tight_int),
         support=_hypergeometric_support, log_pmfs=_hypergeometric_log_pmfs),
     FamilyId.GAMMA: Family(
         fields=("alpha", "beta"), check=_positive("alpha", "beta"),
@@ -757,7 +872,11 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=lambda p, rng, size: rng.gamma(p["alpha"], p["beta"], size),
         panel=gamma_family(2.5, 1.5),
         grid=GridSpec({"alpha": GridAxis(1e-6, 1e2, 120, "logarithmic")}, {"beta": 1.0}),
-        ray=_Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0"),
+        # Q(t, x) is about t (-log(y sqrt(t)) - Euler's gamma) near the limit
+        ray=_Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0", _gamma_ray_form,
+                 _secant_lead(_gamma_ray_form, lambda y, aim: aim / max(
+                     1.0, -math.log(y) - 0.5 * math.log(aim) - 0.5772156649015329),
+                     lambda y: y * y)),
         cdf=lambda p, x: 0.0 if x <= 0.0 else _gamma_tails(p["alpha"], x / p["beta"])[0],
         survival=lambda p, x: 1.0 if x <= 0.0 else _gamma_tails(p["alpha"], x / p["beta"])[1]),
     FamilyId.PARETO: Family(
@@ -768,7 +887,11 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=lambda p, rng, size: p["A"] * (1.0 - rng.random(size)) ** (-1.0 / p["r"]),
         panel=pareto(4.0, 2.0),
         grid=GridSpec({"r_excess": GridAxis(1e-6, 98.0, 120, "logarithmic")}, {"A": 1.0}),
-        ray=_Ray(lambda t: pareto(2.0 + t, 1.0), 1.0, "A = 1, r -> 2"),
+        # the tail is about (2 + y sqrt(2/t))^-2 near the limit
+        ray=_Ray(lambda t: pareto(2.0 + t, 1.0), 1.0, "A = 1, r -> 2", _pareto_ray_form,
+                 _secant_lead(_pareto_ray_form,
+                              lambda y, aim: 2.0 * _square(y / max(aim ** -0.5 - 2.0, 1.0)),
+                              lambda y: 2.0 * y * y / (1.0 - y * y) if y < 1.0 else math.inf)),
         cdf=lambda p, x: 0.0 if x <= p["A"] else -math.expm1(p["r"] * math.log(p["A"] / x)),
         survival=lambda p, x: 1.0 if x <= p["A"] else math.exp(p["r"] * math.log(p["A"] / x))),
     FamilyId.WEIBULL: Family(
@@ -777,7 +900,11 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=_weibull_sample,
         panel=weibull(1.7, 0.8),
         grid=GridSpec({"alpha": GridAxis(1e-3, 1e2, 120, "logarithmic")}, {"lambda": 1.0}),
-        ray=_Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0"),
+        # (mu + y sigma)^t is about 2 / (e t) near the limit; the stretch has no
+        # closed end, and off it the tail only exceeds the form
+        ray=_Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0", _weibull_ray_form,
+                 _secant_lead(_weibull_ray_form, lambda y, aim: 2.0 / (math.e * -math.log(aim)),
+                              lambda y: math.inf)),
         cdf=lambda p, x: 0.0 if x <= 0.0 else -math.expm1(-p["lambda"] * x ** p["alpha"]),
         log_moments=_weibull_log_moments, cdf_at_log=_weibull_cdf_at_log,
         survival_at_log=_weibull_survival_at_log),
@@ -788,7 +915,11 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=_lognormal_sample,
         panel=log_normal(0.2, 0.6),
         grid=GridSpec({"sigma": GridAxis(0.1, 30.0, 120, "logarithmic")}, {"alpha": 0.0}),
-        ray=_Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity"),
+        # the tail is about Phi(-1/t) near the limit
+        ray=_Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity",
+                 _lognormal_ray_form,
+                 _secant_lead(_lognormal_ray_form,
+                              lambda y, aim: 1.0 / math.sqrt(-2.0 * math.log(aim)), _lognormal_end)),
         cdf=lambda p, x: 0.0 if x <= 0.0 else _lognormal_cdf_at_log(p, math.log(x)),
         log_moments=_lognormal_log_moments, cdf_at_log=_lognormal_cdf_at_log,
         survival_at_log=lambda p, u: std_normal_cdf((p["alpha"] - u) / p["sigma"])),
@@ -798,7 +929,11 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=lambda p, rng, size: rng.beta(p["p"], p["q"], size),
         panel=beta_family(2.0, 5.0),
         grid=GridSpec({"q": GridAxis(1e-6, 1.0, 100, "logarithmic")}, {"p": 1.0}),
-        ray=_Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0"),
+        # the tail is about t (-log(y sqrt(t/2))) near the limit
+        ray=_Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0", _beta_ray_form,
+                 _secant_lead(_beta_ray_form, lambda y, aim: aim / max(
+                     1.0, -math.log(y) - 0.5 * (math.log(aim) - math.log(2.0))),
+                     lambda y: y * (y / (1.0 + math.hypot(1.0, y))))),
         cdf=lambda p, x: _beta_sides(p, x)[0], survival=lambda p, x: _beta_sides(p, x)[1]),
 }
 

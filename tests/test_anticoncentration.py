@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import anticonc as ac
+import exact
 from anticonc import FamilyId, anticoncentration, distributions, oracle
 from anticonc.errors import DomainError, SearchError
 
@@ -391,6 +392,13 @@ def beta_ray_tail_at_60_digits(q, y):
         return (1 - (1 - lo) ** q if lo > 0 else 0) + ((1 - hi) ** q if hi < 1 else 0)
 
 
+def _without_lead(monkeypatch, family):
+    """Give family's ray no lead, so that its search starts at ray.start."""
+    law = distributions._FAMILIES[FamilyId(family)]
+    monkeypatch.setitem(distributions._FAMILIES, FamilyId(family), dataclasses.replace(
+        law, ray=dataclasses.replace(law.ray, lead=lambda y, aim: None)))
+
+
 class TestWitnesses:
     def test_rejects_anti_concentrated_families(self):
         for name in ("uniform", "exponential", "gaussian", "student-t"):
@@ -492,7 +500,9 @@ class TestWitnesses:
     @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
                                               key=lambda f: f.value))
     def test_search_out_of_steps_raises(self, family, monkeypatch):
-        # every ray's start is far from certifying 1e-4, so the walk must step
+        # every ray's start is far from certifying 1e-4, so a search from the
+        # start (a ray with no lead) must walk
+        _without_lead(monkeypatch, family)
         monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", 1)
         with pytest.raises(SearchError, match=f"{family.value} witness search exceeded"):
             ac.witness_parameter(family, 1.0, 1e-4)
@@ -506,6 +516,8 @@ class TestWitnesses:
     ])
     def test_search_runs_out_during_bisection(self, family, epsilon, walk, steps,
                                               monkeypatch):
+        # from the start, as a ray with no lead searches
+        _without_lead(monkeypatch, family)
         full = ac.witness_parameter(family, 1.0, epsilon)
         monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", steps)
         assert ac.witness_parameter(family, 1.0, epsilon) == full
@@ -514,6 +526,41 @@ class TestWitnesses:
             monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", max_steps)
             with pytest.raises(SearchError, match=f"exceeded {max_steps} steps"):
                 ac.witness_parameter(family, 1.0, epsilon)
+
+    @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
+                                              key=lambda f: f.value))
+    def test_a_certified_lead_is_returned_at_once(self, family, monkeypatch):
+        # one tail call, no step: a float ray's lead pulled in by 0.98, the
+        # integer ray's N0 = ceil(1/epsilon) as it is
+        monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", 0)
+        w = ac.witness_parameter(family, 1.0, 1e-3)
+        ray = distributions._FAMILIES[family].ray
+        if isinstance(ray.start, int):
+            assert w.params == ray.build(1000)
+        else:
+            assert w.params == ray.build(anticoncentration._LEAD_PULL * ray.lead(1.0, 1e-3 / 1.05))
+
+    def test_a_refused_lead_walks_and_interpolates(self, monkeypatch):
+        # 1 - inner rounds the tail 1/100 of the lead N0 = 100 above 0.01:
+        # N = 200 certifies in one walk step, and N = 101 in one interpolation
+        ps = distributions._FAMILIES[FamilyId.HYPERGEOMETRIC].ray.build(100)
+        assert ac.tail_probability(ps, 1.0).probability > 0.01
+        monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", 2)
+        assert ac.witness_parameter("hypergeometric", 1.0, 0.01).params["N"] == 101
+        monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", 1)
+        with pytest.raises(SearchError, match="exceeded 1 steps"):
+            ac.witness_parameter("hypergeometric", 1.0, 0.01)
+
+    def test_a_lead_past_a_double_falls_back_on_a_certified_start(self):
+        # at y = 2 neither point of hypergeometric(1, 2, 1) lies in the event,
+        # but the lead N0 = 10^30 leaves the range of a double's variance
+        w = ac.witness_parameter("hypergeometric", 2.0, 1e-30)
+        assert w.params["N"] == 2 and w.achieved_tail == 0.0
+        assert exact.hypergeometric_tail(1, 2, 1, 2.0) == 0
+        # at y = 1 both points of it do, so the lead's refusal stands
+        n0 = math.ceil(1 / Fraction(1e-30))
+        with pytest.raises(DomainError, match=f"at t = {n0}: hypergeometric variance"):
+            ac.witness_parameter("hypergeometric", 1.0, 1e-30)
 
     @pytest.mark.parametrize("family,text", [
         # p = 1 - t rounds to 1 below 2^-53, 2 + t to 2 below 2^-52, and the
@@ -534,7 +581,8 @@ class TestWitnesses:
 
     def test_tail_calls_per_search_stay_few(self, monkeypatch):
         # the curves ladder: the halving walk and bisection made 16.95 calls
-        # a search on it, and 53 at most
+        # a search on it, and 53 at most; the walk from ray.start 6.68 and 11,
+        # the start at the lead 1.17 and 6
         calls = []
         real = anticoncentration.tail_probability
         monkeypatch.setattr(anticoncentration, "tail_probability",
@@ -547,7 +595,7 @@ class TestWitnesses:
                     ac.witness_parameter(family, y, 10.0 ** -k)
                     counts.append(len(calls))
         assert len(counts) == 189
-        assert sum(counts) / len(counts) <= 7
+        assert sum(counts) / len(counts) <= 1.5
         assert max(counts) <= 12
 
     def test_searches_and_grids_call_tail_probability_by_module_name(self, monkeypatch):
@@ -589,6 +637,127 @@ class TestWitnesses:
             assert "->" in text
         with pytest.raises(DomainError):
             ac.witness_ray_description("gaussian")
+
+
+def _lattice_at_zero(mean, sd, y):
+    """0 out of the event and 1 in it, so the tail is P(X >= 1)."""
+    return mean < y * sd and 1 - mean >= y * sd
+
+
+def _weibull_moments_mp(alpha):
+    mean = mpmath.gamma(1 + 1 / alpha)
+    return mean, mpmath.sqrt(mpmath.gamma(1 + 2 / alpha) - mean ** 2)
+
+
+def _lognormal_moments_mp(s):
+    mean = mpmath.exp(s ** 2 / 2)
+    return mean, mean * mpmath.sqrt(mpmath.expm1(s ** 2))
+
+
+# each ray's law, from its double parameters at 50 digits: (whether it lies
+# on the stretch next to the limit where one side of the event is empty,
+# and the tail there, each ray's form written afresh; the gamma's is
+# mpmath's own regularized upper incomplete gamma)
+RAY_TAILS_MP = {
+    FamilyId.BINOMIAL: lambda p, y: (
+        _lattice_at_zero(p["p"], mpmath.sqrt(p["p"] * (1 - p["p"])), y), p["p"]),
+    FamilyId.POISSON: lambda p, y: (
+        _lattice_at_zero(p["lambda"], mpmath.sqrt(p["lambda"]), y), -mpmath.expm1(-p["lambda"])),
+    FamilyId.NEG_BINOMIAL: lambda p, y: (
+        _lattice_at_zero((1 - p["p"]) / p["p"], mpmath.sqrt(1 - p["p"]) / p["p"], y), 1 - p["p"]),
+    # 0 in the event and 1 out of it, so the tail is P(X = 0) = 1/N
+    FamilyId.HYPERGEOMETRIC: lambda p, y: (
+        (p["N"] - 1) >= y ** 2 and (p["N"] - 1) * y ** 2 > 1, mpmath.mpf(1) / p["N"]),
+    FamilyId.GAMMA: lambda p, y: (
+        p["alpha"] - y * mpmath.sqrt(p["alpha"]) <= 0,
+        mpmath.gammainc(p["alpha"], p["alpha"] + y * mpmath.sqrt(p["alpha"]), mpmath.inf,
+                        regularized=True)),
+    FamilyId.PARETO: lambda p, y: (lambda r: (lambda mean, sd: (
+        mean - y * sd <= 1, (mean + y * sd) ** -r))(
+        r / (r - 1), mpmath.sqrt(r / (r - 2)) / (r - 1)))(mpmath.mpf(p["r"])),
+    FamilyId.WEIBULL: lambda p, y: (lambda mean, sd: (
+        mean <= y * sd, mpmath.exp(-(mean + y * sd) ** p["alpha"])))(
+        *_weibull_moments_mp(mpmath.mpf(p["alpha"]))),
+    FamilyId.LOG_NORMAL: lambda p, y: (lambda mean, sd: (
+        mean <= y * sd,
+        mpmath.erfc(mpmath.log(mean + y * sd) / (p["sigma"] * mpmath.sqrt(2))) / 2))(
+        *_lognormal_moments_mp(mpmath.mpf(p["sigma"]))),
+    FamilyId.BETA: lambda p, y: (lambda q: (lambda mean, sd: (
+        mean + y * sd >= 1 and mean - y * sd > 0, 1 - (1 - mean + y * sd) ** q))(
+        1 / (1 + q), mpmath.sqrt(q / ((1 + q) ** 2 * (2 + q)))))(mpmath.mpf(p["q"])),
+}
+
+
+def ray_tail_mp(ps, y):
+    """(on the stretch, the tail there) of a ray law at 50 digits."""
+    with mpmath.workdps(50):
+        params = {k: v if isinstance(v, int) else mpmath.mpf(v) for k, v in ps.params.items()}
+        return RAY_TAILS_MP[ps.family](params, mpmath.mpf(y))
+
+
+def _hypergeometric_draws():
+    """120 (y, epsilon): y = 0.5 or 1 within 5%, epsilon log-uniform in 1e-8..1e-5."""
+    rng = random.Random(2712)
+    return [(rng.choice((0.5, 1.0)) * rng.uniform(0.95, 1.05), 10.0 ** rng.uniform(-8.0, -5.0))
+            for _ in range(120)]
+
+
+class TestRayForms:
+    @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
+                                              key=lambda f: f.value))
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
+    def test_ladder_certificates_are_sound_against_the_ray_forms(self, family, y):
+        for k in range(2, 9):
+            epsilon = 10.0 ** -k
+            w = ac.witness_parameter(family, y, epsilon)
+            on, tail = ray_tail_mp(w.params, y)
+            assert on and tail <= epsilon, (k, w, tail)
+
+    @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
+                                              key=lambda f: f.value))
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
+    def test_form_is_the_tail_on_its_stretch(self, family, y):
+        law = distributions._FAMILIES[family]
+        integer = isinstance(law.ray.start, int)
+        checked = 0
+        for k in range(1, 41):
+            t = 2 ** k if integer else 2.0 ** -k
+            ps = law.ray.build(t)
+            if not ray_tail_mp(ps, y)[0]:
+                continue
+            checked += 1
+            assert law.ray.form(t, y) == pytest.approx(
+                ac.tail_probability(ps, y).probability, abs=law.abs_error_bound, rel=0), t
+        assert checked >= 30
+
+    @pytest.mark.parametrize("family", sorted(ac.ZERO_INFIMUM_FAMILIES,
+                                              key=lambda f: f.value))
+    @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
+    def test_lead_inverts_the_form(self, family, y):
+        # exactly on the integer ray; on a float ray the search's first point
+        # is within 10% of the form's boundary, as ray.tight asks of a bracket
+        ray = distributions._FAMILIES[family].ray
+        for k in range(2, 9):
+            if isinstance(ray.start, int):
+                lead = ray.lead(y, 10.0 ** -k)
+                assert Fraction(1, lead) <= Fraction(10.0 ** -k) < Fraction(1, lead - 1)
+                continue
+            aim = 10.0 ** -k / 1.05
+            t = anticoncentration._LEAD_PULL * ray.lead(y, aim)
+            assert ray.form(t, y) <= aim < ray.form(1.1 * t, y), k
+
+    def test_hypergeometric_certificates_are_exact_near_epsilon(self):
+        # the engine's 1 - inner rounds 1/N by about 1e-16: certifying a
+        # computed tail <= epsilon alone let 1/N pass epsilon on 5 of these
+        # 120 draws; no N short of N0 = ceil(1/epsilon) is certified now
+        cases = _hypergeometric_draws() + [(1.0, 1e-8), (0.5, 1e-8)]
+        cases += [(y, 10.0 ** -k) for y in (0.5, 1.0, 2.0) for k in range(2, 9)]
+        for y, epsilon in cases:
+            w = ac.witness_parameter("hypergeometric", y, epsilon)
+            N = w.params["N"]
+            assert w.achieved_tail <= epsilon
+            assert exact.hypergeometric_tail(N - 1, N, 1, y) == Fraction(1, N)
+            assert N >= math.ceil(1 / Fraction(epsilon)), (y, epsilon, N)
 
 
 class TestSerialization:

@@ -235,8 +235,9 @@ _IMPORT_PROBE = textwrap.dedent("""
     probe["large_tail_code"] = run("tail", "--family", "poisson", "--params",
                                    '{"lambda": 1e8}', "--y", "1.0")
     probe["after_large_tail"] = loaded()
-    probe["witness_code"] = run("witness", "--family", "poisson", "--y", "1.0",
-                                "--epsilon", "1e-3")
+    # each ray's lead and form too
+    probe["witness_codes"] = [run("witness", "--family", family, "--y", "1.0", "--epsilon", "1e-3")
+                              for family in json.loads(sys.argv[5])]
     probe["after_witness"] = loaded()
     probe["nb_tail_code"] = run("tail", "--family", "neg-binomial", "--params", sys.argv[3],
                                 "--y", "1.0")
@@ -262,6 +263,7 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
               for family in (ac.FamilyId.POISSON, ac.FamilyId.NEG_BINOMIAL)]
     params.append(json.dumps([(family.value, dict(_FAMILIES[family].panel.params)) for family in (
         ac.FamilyId.GAMMA, ac.FamilyId.BETA, ac.FamilyId.STUDENT_T)]))
+    params.append(json.dumps(sorted(family.value for family in ac.ZERO_INFIMUM_FAMILIES)))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(src), *params],
                           capture_output=True, text=True, timeout=120, check=True)
     probe = json.loads(proc.stdout)
@@ -269,7 +271,7 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
     assert probe["after_parser"] == none
     assert probe["tail_code"] == 0 and probe["after_tail"] == none
     assert probe["large_tail_code"] == 0 and probe["after_large_tail"] == none
-    assert probe["witness_code"] == 0 and probe["after_witness"] == none
+    assert probe["witness_codes"] == [0] * 9 and probe["after_witness"] == none
     # the negative binomial's incomplete-beta tails are pure math too
     assert probe["nb_tail_code"] == 0 and probe["nb_witness_code"] == 0
     assert probe["after_nb"] == none
