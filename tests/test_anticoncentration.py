@@ -639,60 +639,50 @@ class TestWitnesses:
             ac.witness_ray_description("gaussian")
 
 
-def _lattice_at_zero(mean, sd, y):
-    """0 out of the event and 1 in it, so the tail is P(X >= 1)."""
-    return mean < y * sd and 1 - mean >= y * sd
-
-
-def _weibull_moments_mp(alpha):
-    mean = mpmath.gamma(1 + 1 / alpha)
-    return mean, mpmath.sqrt(mpmath.gamma(1 + 2 / alpha) - mean ** 2)
-
-
-def _lognormal_moments_mp(s):
-    mean = mpmath.exp(s ** 2 / 2)
-    return mean, mean * mpmath.sqrt(mpmath.expm1(s ** 2))
-
-
-# each ray's law, from its double parameters at 50 digits: (whether it lies
-# on the stretch next to the limit where one side of the event is empty,
-# and the tail there, each ray's form written afresh; the gamma's is
-# mpmath's own regularized upper incomplete gamma)
-RAY_TAILS_MP = {
-    FamilyId.BINOMIAL: lambda p, y: (
-        _lattice_at_zero(p["p"], mpmath.sqrt(p["p"] * (1 - p["p"])), y), p["p"]),
-    FamilyId.POISSON: lambda p, y: (
-        _lattice_at_zero(p["lambda"], mpmath.sqrt(p["lambda"]), y), -mpmath.expm1(-p["lambda"])),
-    FamilyId.NEG_BINOMIAL: lambda p, y: (
-        _lattice_at_zero((1 - p["p"]) / p["p"], mpmath.sqrt(1 - p["p"]) / p["p"], y), 1 - p["p"]),
-    # 0 in the event and 1 out of it, so the tail is P(X = 0) = 1/N
-    FamilyId.HYPERGEOMETRIC: lambda p, y: (
-        (p["N"] - 1) >= y ** 2 and (p["N"] - 1) * y ** 2 > 1, mpmath.mpf(1) / p["N"]),
-    FamilyId.GAMMA: lambda p, y: (
-        p["alpha"] - y * mpmath.sqrt(p["alpha"]) <= 0,
-        mpmath.gammainc(p["alpha"], p["alpha"] + y * mpmath.sqrt(p["alpha"]), mpmath.inf,
-                        regularized=True)),
-    FamilyId.PARETO: lambda p, y: (lambda r: (lambda mean, sd: (
-        mean - y * sd <= 1, (mean + y * sd) ** -r))(
-        r / (r - 1), mpmath.sqrt(r / (r - 2)) / (r - 1)))(mpmath.mpf(p["r"])),
-    FamilyId.WEIBULL: lambda p, y: (lambda mean, sd: (
-        mean <= y * sd, mpmath.exp(-(mean + y * sd) ** p["alpha"])))(
-        *_weibull_moments_mp(mpmath.mpf(p["alpha"]))),
-    FamilyId.LOG_NORMAL: lambda p, y: (lambda mean, sd: (
-        mean <= y * sd,
-        mpmath.erfc(mpmath.log(mean + y * sd) / (p["sigma"] * mpmath.sqrt(2))) / 2))(
-        *_lognormal_moments_mp(mpmath.mpf(p["sigma"]))),
-    FamilyId.BETA: lambda p, y: (lambda q: (lambda mean, sd: (
-        mean + y * sd >= 1 and mean - y * sd > 0, 1 - (1 - mean + y * sd) ** q))(
-        1 / (1 + q), mpmath.sqrt(q / ((1 + q) ** 2 * (2 + q)))))(mpmath.mpf(p["q"])),
-}
-
-
 def ray_tail_mp(ps, y):
-    """(on the stretch, the tail there) of a ray law at 50 digits."""
+    """(whether a ray law lies on the stretch next to its limit where one
+    side of the event is empty, and its tail there) at 50 digits from its
+    double parameters: each ray's form written afresh, the gamma's by
+    mpmath's own regularized upper incomplete gamma."""
     with mpmath.workdps(50):
-        params = {k: v if isinstance(v, int) else mpmath.mpf(v) for k, v in ps.params.items()}
-        return RAY_TAILS_MP[ps.family](params, mpmath.mpf(y))
+        p = {k: v if isinstance(v, int) else mpmath.mpf(v) for k, v in ps.params.items()}
+        y = mpmath.mpf(y)
+        family = ps.family
+        if family is FamilyId.HYPERGEOMETRIC:
+            # 0 in the event and 1 out of it: the tail is P(X = 0) = 1/N
+            N = p["N"]
+            return N - 1 >= y ** 2 and (N - 1) * y ** 2 > 1, 1 / mpmath.mpf(N)
+        if family in (FamilyId.BINOMIAL, FamilyId.POISSON, FamilyId.NEG_BINOMIAL):
+            if family is FamilyId.BINOMIAL:
+                mean, sd, tail = p["p"], mpmath.sqrt(p["p"] * (1 - p["p"])), p["p"]
+            elif family is FamilyId.POISSON:
+                mean, sd, tail = p["lambda"], mpmath.sqrt(p["lambda"]), -mpmath.expm1(-p["lambda"])
+            else:
+                q = 1 - p["p"]
+                mean, sd, tail = q / p["p"], mpmath.sqrt(q) / p["p"], q
+            # 0 out of the event and 1 in it: the tail is P(X >= 1)
+            return mean < y * sd and 1 - mean >= y * sd, tail
+        if family is FamilyId.BETA:
+            q = p["q"]
+            mean, sd = 1 / (1 + q), mpmath.sqrt(q / ((1 + q) ** 2 * (2 + q)))
+            return mean + y * sd >= 1 and mean - y * sd > 0, 1 - (1 - mean + y * sd) ** q
+        if family is FamilyId.GAMMA:
+            a = p["alpha"]
+            return a <= y * mpmath.sqrt(a), mpmath.gammainc(a, a + y * mpmath.sqrt(a), mpmath.inf,
+                                                            regularized=True)
+        if family is FamilyId.PARETO:
+            r = p["r"]
+            mean, sd = r / (r - 1), mpmath.sqrt(r / (r - 2)) / (r - 1)
+            return mean - y * sd <= 1, (mean + y * sd) ** -r
+        if family is FamilyId.WEIBULL:
+            a = p["alpha"]
+            mean = mpmath.gamma(1 + 1 / a)
+            sd = mpmath.sqrt(mpmath.gamma(1 + 2 / a) - mean ** 2)
+            return mean <= y * sd, mpmath.exp(-(mean + y * sd) ** a)
+        s = p["sigma"]  # log-normal
+        mean = mpmath.exp(s ** 2 / 2)
+        sd = mean * mpmath.sqrt(mpmath.expm1(s ** 2))
+        return mean <= y * sd, mpmath.erfc(mpmath.log(mean + y * sd) / (s * mpmath.sqrt(2))) / 2
 
 
 def _hypergeometric_draws():
