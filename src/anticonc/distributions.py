@@ -700,7 +700,7 @@ def _secant_lead(form, guess, end):
         t = _clipped(guess(y, aim), top)
         if t is None:
             return None
-        goal, top = math.log(-math.log(aim)), math.log(top)
+        goal, u_top = math.log(-math.log(aim)), math.log(top)
 
         def gap(u: float) -> float:
             t = math.exp(u)
@@ -712,7 +712,7 @@ def _secant_lead(form, guess, end):
         for step in range(3):
             if not abs(g1 - g0) > 0.0:
                 return None
-            u = min(max(u1 - g1 * (u1 - u0) / (g1 - g0), u1 - 4.0), top)
+            u = min(max(u1 - g1 * (u1 - u0) / (g1 - g0), u1 - 4.0), u_top)
             if step == 2 or abs(u - u1) < 1e-6:
                 return math.exp(u)
             u0, g0, u1, g1 = u1, g1, u, gap(u)

@@ -241,8 +241,6 @@ _IMPORT_PROBE = textwrap.dedent("""
     probe["after_witness"] = loaded()
     probe["nb_tail_code"] = run("tail", "--family", "neg-binomial", "--params", sys.argv[3],
                                 "--y", "1.0")
-    probe["nb_witness_code"] = run("witness", "--family", "neg-binomial", "--y", "1.0",
-                                   "--epsilon", "1e-3")
     probe["after_nb"] = loaded()
     # gamma, beta and the Student's-t beta route (x^2 > 5 at y = 3) too
     probe["inc_tail_codes"] = [run("tail", "--family", family, "--params", json.dumps(params),
@@ -273,7 +271,7 @@ def test_numpy_and_scipy_load_with_their_first_use_only():
     assert probe["large_tail_code"] == 0 and probe["after_large_tail"] == none
     assert probe["witness_codes"] == [0] * 9 and probe["after_witness"] == none
     # the negative binomial's incomplete-beta tails are pure math too
-    assert probe["nb_tail_code"] == 0 and probe["nb_witness_code"] == 0
+    assert probe["nb_tail_code"] == 0
     assert probe["after_nb"] == none
     assert probe["inc_tail_codes"] == [0, 0, 0] and probe["after_inc_tails"] == none
     assert "numpy.random" in probe["after_mc"]["numpy"] and probe["after_mc"]["scipy"] == []
