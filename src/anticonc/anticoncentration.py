@@ -263,6 +263,19 @@ def _u(t: Union[float, int]) -> float:
     return -math.log(t) if isinstance(t, int) else math.log(t)
 
 
+def _step(t: Union[float, int]) -> Union[float, int]:
+    """The next walk point toward the limit: t halved, or N doubled."""
+    return 2 * t if isinstance(t, int) else t / 2.0
+
+
+def _tight(ok: Union[float, int], bad: Union[float, int]) -> bool:
+    """Whether a certified and a refused point bracket the boundary closely
+    enough: adjacent integers, or doubles within 10% or adjacent."""
+    if isinstance(ok, int):
+        return ok - bad <= 1
+    return bad - ok <= 0.1 * ok or math.nextafter(ok, bad) == bad
+
+
 def _moved(t: Union[float, int], du: float) -> Union[float, int]:
     """The ray point du away from t in u, rounded exactly on the integer ray."""
     if not isinstance(t, int):
@@ -271,12 +284,12 @@ def _moved(t: Union[float, int], du: float) -> Union[float, int]:
     return (t * num + den // 2) // den
 
 
-def _search(ray: _Ray, aim: float, t: Union[float, int],
+def _search(aim: float, t: Union[float, int],
             tail_at: Callable) -> tuple[Union[float, int], float]:
     """A certified ray point and its tail, from the first point t on: a
     certified t is returned at once, and a refused one walks toward the
     limit until a point certifies, after which the Illinois rule narrows
-    the bracket until `ray.tight` holds (see witness_parameter)."""
+    the bracket until `_tight` holds (see witness_parameter)."""
     tail = tail_at(t)
     if tail <= aim:
         return t, tail
@@ -284,7 +297,7 @@ def _search(ray: _Ray, aim: float, t: Union[float, int],
     last = None  # (u, log tail) of the refused point before
     while tail > aim:
         u, log_tail = _u(t), math.log(tail)
-        bad, bad_tail, t = t, tail, ray.step(t)
+        bad, bad_tail, t = t, tail, _step(t)
         if last is not None and log_tail < last[1]:
             du = (math.log(aim) - log_tail) * (u - last[0]) / (log_tail - last[1])
             du = max(du, -_MAX_STRIDE)
@@ -298,7 +311,7 @@ def _search(ray: _Ray, aim: float, t: Union[float, int],
     ok, ok_tail = t, tail
     g_ok, g_bad = _log_log(ok_tail) - _log_log(aim), _log_log(bad_tail) - _log_log(aim)
     last_ok = True
-    while not ray.tight(ok, bad):
+    while not _tight(ok, bad):
         u_ok, u_bad = _u(ok), _u(bad)
         if math.isfinite(g_ok) and math.isfinite(g_bad):
             t = _moved(ok, (u_bad - u_ok) * g_ok / (g_ok - g_bad))
@@ -335,12 +348,12 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
     where the exact tail 1/N is at most epsilon: the search never tries an
     N short of its lead, whose 1 - inner could round 1/N > epsilon down to
     epsilon.  While no point certifies, it walks along the secant of
-    log(tail) through its last two points, each step at least one
-    `ray.step` and at most a factor of 2^16.  Once it holds a certified
-    point and a refused one, it interpolates between them in
+    log(tail) through its last two points, each step at least `_step`
+    (t halved, N doubled) and at most a factor of 2^16.  Once it holds a
+    certified point and a refused one, it interpolates between them in
     (u, log(-log tail)) by the Illinois rule (Dowell & Jarratt, BIT 11,
     1971), taking the geometric midpoint where a tail is 0 or 1, until
-    `ray.tight` finds the bracket tight: within 10% or adjacent doubles on a
+    `_tight` finds the bracket tight: within 10% or adjacent doubles on a
     float ray (the smallest subnormals are never within 10%), N and N - 1 on
     the integer one.  A float ray certifies a tail at most epsilon / 1.05,
     the integer ray a tail at most epsilon.  Each step after the first
@@ -377,10 +390,10 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
 
     lead = ray.lead(y, aim)
     if lead is None:
-        t, tail = _search(ray, aim, ray.start, tail_at)
+        t, tail = _search(aim, ray.start, tail_at)
     else:
         try:
-            t, tail = _search(ray, aim, lead if integer else _LEAD_PULL * lead, tail_at)
+            t, tail = _search(aim, lead if integer else _LEAD_PULL * lead, tail_at)
         except DomainError:
             t, tail = ray.start, tail_at(ray.start)
             if tail > aim:

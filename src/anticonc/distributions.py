@@ -17,12 +17,11 @@ incomplete-gamma or incomplete-beta core (`_gamma_tails`, `_beta_tails`),
 each side directly rather than as one minus the other, the Poisson and
 negative binomial on the lattice.  The binomial and hypergeometric laws,
 whose support is bounded, take their tails as exact complements of an
-interior pmf sum evaluated in log space.  Such a record hands the sum its log pmfs as one
-iterator over consecutive k from the first k summed; the sum stops it at
-its last k and never advances it further, so a record may step its terms
-from one k to the next (the hypergeometric steps its binomial
-coefficients in exact integers).  Every term comes from exact integer
-binomial coefficients, so both laws refuse a size where these pass about
+interior pmf sum evaluated in log space.  Such a record hands the sum
+its log pmfs for exactly the k summed, so it may step its terms from one
+k to the next (the hypergeometric steps its binomial coefficients in
+exact integers).  Every term comes from exact integer binomial
+coefficients, so both laws refuse a size where these pass about
 10**6 bits (the binomial past n = 10**6, the hypergeometric past N = 10**6
 once n * N.bit_length() > 10**6) with DomainError: log-gamma terms would
 cancel there (Binomial(10**7, 1/2) off by 1.5e-8 under a 1e-13 bound).
@@ -33,7 +32,6 @@ exactly y standard deviations from the mean belongs to the tail.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -297,20 +295,6 @@ class GridSpec:
                 "fixed": dict(self.fixed)}
 
 
-def _halve(t: float) -> float:
-    return t / 2.0
-
-
-def _tight_float(ok: float, bad: float) -> bool:
-    """Whether bad is within 10% of ok, or the next double past ok."""
-    return bad - ok <= 0.1 * ok or math.nextafter(ok, bad) == bad
-
-
-def _tight_int(ok: int, bad: int) -> bool:
-    """Whether the bracket's ends are adjacent integers."""
-    return ok - bad <= 1
-
-
 @dataclass(frozen=True)
 class _Ray:
     """One-dimensional path to the family's degenerate limit.
@@ -322,12 +306,8 @@ class _Ray:
     where the form is about aim, or None where the stretch is empty in
     doubles.  The integer ray's lead is exact, the first N on the stretch
     with 1/N <= aim; a float ray's is a closed form or a few secant steps.
-    From `start`, or from the lead, `step` moves toward the limit, where the
-    tail falls (t halves on the float rays, N doubles on the integer one);
-    the witness search walks at least that far a step.  `tight(ok, bad)`
-    says whether a certified point and a refused one bracket the boundary
-    closely enough (within 10% or adjacent doubles, or adjacent integers);
-    the search stops there.
+    The witness search starts at the lead, or at `start`, and walks toward
+    the limit, where the tail falls.
     """
 
     build: Callable[..., ParamSet]
@@ -335,8 +315,6 @@ class _Ray:
     description: str
     form: Callable[..., float]
     lead: Callable[[float, float], Union[float, int, None]]
-    step: Callable = _halve
-    tight: Callable[..., bool] = _tight_float
 
 
 # --- one record per family ----------------------------------------------------
@@ -356,12 +334,12 @@ class Family:
     their witness rays, so those two give log-moments and both tails at
     e^u instead of the survival function.  The gamma and beta take
     P(X <= x) and P(X >= x) as the two values of one incomplete gamma or
-    beta at x, and the Poisson and negative binomial as incomplete gamma
-    and beta values at floor(x) and ceil(x).  The binomial and
-    hypergeometric give their bounded integer support, which refuses a law
-    too large for exact integer terms, and `log_pmfs(p, k0)`, an iterator
-    over log pmf(k0), log pmf(k0 + 1), ... that the caller never advances
-    past its last k.  Each function sees the parameters as `_checked`
+    beta at x, and the Poisson and negative binomial, through
+    `_on_lattice`, as incomplete gamma and beta values at floor(x) and
+    ceil(x).  The binomial and hypergeometric give their bounded integer
+    support, which refuses a law too large for exact integer terms, and
+    `log_pmfs(p, k0, k1)`, which yields log pmf(k) for k from k0 to k1 and
+    forms no other term.  Each function sees the parameters as `_checked`
     types them, in one pass over `fields`: the fields named in
     `integer_fields` as int, the rest as float.  `sample` draws variate by
     variate, so draws made in blocks replay one array of the same total,
@@ -392,7 +370,7 @@ class Family:
     cdf_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X <= e^u)
     survival_at_log: Optional[Callable[[_Params, float], float]] = None  # P(X >= e^u)
     support: Optional[Callable[[_Params], tuple[int, int]]] = None  # kmin, kmax
-    log_pmfs: Optional[Callable[[_Params, int], Iterator[float]]] = None  # from k0 on
+    log_pmfs: Optional[Callable[[_Params, int, int], Iterator[float]]] = None  # k0..k1
 
 
 def _require(*rules):
@@ -533,34 +511,11 @@ def _neg_binomial_moments(p: _Params) -> Moments:
     return Moments(r * q / pr, _over_square(r * q, pr))
 
 
-def _poisson_cdf(p: _Params, x: float) -> float:
-    """P(X <= k) = Q(k + 1, lambda) for k = floor(x)."""
-    if x < 0.0:
-        return 0.0
-    return _gamma_tails(math.floor(x) + 1.0, p["lambda"])[1]
-
-
-def _poisson_survival(p: _Params, x: float) -> float:
-    """P(X >= k) = P(k, lambda) for k = ceil(x)."""
-    if x <= 0.0:
-        return 1.0
-    return _gamma_tails(float(math.ceil(x)), p["lambda"])[0]
-
-
-def _neg_binomial_cdf(p: _Params, x: float) -> float:
-    """P(X <= k) = I_p(r, k + 1) for k = floor(x)."""
-    if x < 0.0:
-        return 0.0
-    pr = p["p"]
-    return _beta_tails(pr, 1.0 - pr, p["r"], math.floor(x) + 1.0)[0]
-
-
-def _neg_binomial_survival(p: _Params, x: float) -> float:
-    """P(X >= k) = I_{1-p}(k, r) for k = ceil(x), with 1 - (1 - p) taken as p."""
-    if x <= 0.0:
-        return 1.0
-    pr = p["p"]
-    return _beta_tails(1.0 - pr, pr, float(math.ceil(x)), p["r"])[0]
+def _on_lattice(at_most, at_least) -> dict:
+    """The cdf and survival of a law on 0, 1, 2, ... from its P(X <= k) and
+    P(X >= k), `at_most(p, k)` at k = floor(x) and `at_least(p, k)` at k = ceil(x)."""
+    return {"cdf": lambda p, x: 0.0 if x < 0.0 else at_most(p, math.floor(x)),
+            "survival": lambda p, x: 1.0 if x <= 0.0 else at_least(p, math.ceil(x))}
 
 
 def _check_hypergeometric(p: _Params) -> list[str]:
@@ -592,24 +547,25 @@ def _hypergeometric_support(p: _Params) -> tuple[int, int]:
     return max(0, n - (N - M)), min(M, n)
 
 
-def _hypergeometric_log_pmfs(p: _Params, k0: int) -> Iterator[float]:
-    """log pmf(k0), log pmf(k0 + 1), ... from exact binomial coefficients.
+def _hypergeometric_log_pmfs(p: _Params, k0: int, k1: int) -> Iterator[float]:
+    """log pmf(k) for k from k0 to k1, from exact binomial coefficients.
 
     C(N, n) is formed once, and C(M, k) and C(N - M, n - k) are stepped in
     k by one exact multiply and floor-divide each, since
-    C(M, k) (M - k) = C(M, k + 1) (k + 1), so math.log sees the integers
+    C(M, k - 1) (M - k + 1) = C(M, k) k, so math.log sees the integers
     of the per-k formula and the terms are its terms bit for bit.  The
     support refuses a law whose C(N, n) would pass about 10^6 bits (past
     N = 10^6, n * N.bit_length() > 10^6; the witness ray's n = 1 passes at
-    any N).  A step past kmax gives C = 0, so the caller stops at its last k.
+    any N).
     """
     M, N, n = p["M"], p["N"], p["n"]
     log_all = math.log(math.comb(N, n))
     good, bad = math.comb(M, k0), math.comb(N - M, n - k0)
-    for k in itertools.count(k0):
+    for k in range(k0, k1 + 1):
+        if k > k0:
+            good = good * (M - k + 1) // k
+            bad = bad * (n - k + 1) // (N - M - n + k)
         yield math.log(good) + math.log(bad) - log_all
-        good = good * (M - k) // (k + 1)
-        bad = bad * (n - k) // (N - M - n + k + 1)
 
 
 def _pareto_moments(p: _Params) -> Moments:
@@ -832,7 +788,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0", lambda t, y: t,
                  lambda y, aim: _clipped(aim, 1.0 / (1.0 + _square(max(y, 1.0 / y))))),
         support=_binomial_support,
-        log_pmfs=lambda p, k0: map(_binomial_log_pmf, itertools.repeat(p), itertools.count(k0))),
+        log_pmfs=lambda p, k0, k1: (_binomial_log_pmf(p, k) for k in range(k0, k1 + 1))),
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
         moments=lambda p: Moments(p["lambda"], p["lambda"]),
@@ -841,7 +797,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
         ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0", lambda t, y: -math.expm1(-t),
                  lambda y, aim: _clipped(-math.log1p(-aim), _lattice_end(y, 1.0))),
-        cdf=_poisson_cdf, survival=_poisson_survival),
+        # P(X <= k) = Q(k + 1, lambda) and P(X >= k) = P(k, lambda)
+        **_on_lattice(lambda p, k: _gamma_tails(k + 1.0, p["lambda"])[1],
+                      lambda p, k: _gamma_tails(float(k), p["lambda"])[0])),
     FamilyId.NEG_BINOMIAL: Family(
         fields=("r", "p"),
         check=_require((lambda p: p["r"] > 0, "r must be positive"),
@@ -854,7 +812,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         # the tail is the law's q, 1 - (1 - t) as p = 1 - t rounds
         ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1",
                  lambda t, y: 1.0 - (1.0 - t), lambda y, aim: _clipped(aim, _lattice_end(y, 2.0))),
-        cdf=_neg_binomial_cdf, survival=_neg_binomial_survival),
+        # P(X <= k) = I_p(r, k + 1) and P(X >= k) = I_{1-p}(k, r), 1 - (1 - p) taken as p
+        **_on_lattice(lambda p, k: _beta_tails(p["p"], 1.0 - p["p"], p["r"], k + 1.0)[0],
+                      lambda p, k: _beta_tails(1.0 - p["p"], p["p"], float(k), p["r"])[0])),
     FamilyId.HYPERGEOMETRIC: Family(
         fields=("M", "N", "n"), integer_fields=("M", "N", "n"),
         check=_check_hypergeometric,
@@ -863,7 +823,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=hypergeometric(30, 100, 20),
         grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
         ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
-                 lambda N, y: 1 / N, _hypergeometric_lead, step=lambda N: 2 * N, tight=_tight_int),
+                 lambda N, y: 1 / N, _hypergeometric_lead),
         support=_hypergeometric_support, log_pmfs=_hypergeometric_log_pmfs),
     FamilyId.GAMMA: Family(
         fields=("alpha", "beta"), check=_positive("alpha", "beta"),
@@ -1014,8 +974,7 @@ def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: int, upper: float, k
     # an answered support spans at most 10**6 + 1 terms: n <= 10**6 for the binomial,
     # and for the hypergeometric n < N <= 10**6 or n <= 5 * 10**4 (n * N.bit_length() <= 10**6)
     total = 0.0
-    # the range ends the zip, so log_pmfs is never advanced past its last k
-    for k, lp in zip(range(kmin, min(math.floor(upper), kmax) + 1), law.log_pmfs(p, kmin)):
+    for k, lp in enumerate(law.log_pmfs(p, kmin, min(math.floor(upper), kmax)), kmin):
         val = math.exp(lp) if lp > -745.0 else 0.0
         if keep is None or keep(k):
             total += val

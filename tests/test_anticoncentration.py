@@ -446,11 +446,11 @@ class TestWitnesses:
             assert -mpmath.expm1(-mpmath.mpf(lam)) <= mpmath.mpf(5e-324)
 
     def test_a_float_bracket_is_tight_within_ten_percent_or_adjacent(self):
-        tight = distributions._tight_float
+        tight = anticoncentration._tight
         assert tight(1.0, 1.05) and not tight(1.0, 1.2)
         assert tight(5e-324, 1e-323) and not tight(5e-324, 1.5e-323)
         assert tight(1e-310, math.nextafter(1e-310, 1.0))
-        assert distributions._tight_int(200, 199) and not distributions._tight_int(200, 198)
+        assert tight(200, 199) and not tight(200, 198)
 
     def test_neg_binomial_certificate_on_ray(self):
         w = ac.witness_parameter("neg-binomial", 1.0, 1e-3)
@@ -725,7 +725,7 @@ class TestRayForms:
     @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
     def test_lead_inverts_the_form(self, family, y):
         # exactly on the integer ray; on a float ray the search's first point
-        # is within 10% of the form's boundary, as ray.tight asks of a bracket
+        # is within 10% of the form's boundary, as _tight asks of a bracket
         ray = distributions._FAMILIES[family].ray
         for k in range(2, 9):
             if isinstance(ray.start, int):

@@ -13,12 +13,13 @@ import pytest
 
 import anticonc as ac
 from anticonc import GridAxis, GridSpec, oracle
+from anticonc.anticoncentration import _step
 from anticonc.distributions import _FAMILIES, _valid_law
 from anticonc.errors import DomainError
 
 PANEL_LAWS = [law.panel for law in _FAMILIES.values()]
 # a point two steps along each of the nine witness rays
-RAY_LAWS = [law.ray.build(law.ray.step(law.ray.step(law.ray.start)))
+RAY_LAWS = [law.ray.build(_step(_step(law.ray.start)))
             for law in _FAMILIES.values() if law.ray is not None]
 LAW_IDS = [f"{ps.family.value}-{i}" for i, ps in enumerate(PANEL_LAWS + RAY_LAWS)]
 
