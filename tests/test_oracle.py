@@ -213,6 +213,43 @@ class TestQuadNormalTail:
         assert ac.quad_normal_symmetric_tail(y) == pytest.approx(want, abs=1e-12)
 
 
+# |x| past the split, where QUADPACK on [0, |x|] alone sampled none of the mass
+LARGE_X = (1e3, 1e6, 1e300)
+
+
+def direct_integral(pdf, x):
+    """QUADPACK on [0, x] with the oracles' settings."""
+    from scipy import integrate
+    return integrate.quad(pdf, 0.0, x, epsabs=1e-12, epsrel=1e-13, limit=500)[0]
+
+
+class TestQuadLargeArguments:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 50, 400])
+    def test_student_cdf_matches_stdtr(self, n):
+        # at 1e6 the direct integral gave 0.4999997 for n = 1, and 0.5 for n = 3 and 30
+        from scipy import special
+        for x in LARGE_X:
+            for sign in (1.0, -1.0):
+                got = ac.quad_student_cdf(n, sign * x)
+                assert abs(got - special.stdtr(n, sign * x)) <= 1e-12, (sign * x, got)
+
+    def test_normal_tail_matches_erfc(self):
+        # at 1e6 the direct integral gave 1.0
+        for y in LARGE_X:
+            assert abs(ac.quad_normal_symmetric_tail(y) - math.erfc(y / math.sqrt(2.0))) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, 5.0, 7.5, oracle._QUAD_SPLIT])
+    def test_up_to_the_split_the_direct_integral_bit_for_bit(self, x):
+        from scipy import special
+        for n in (1, 3, 30):
+            coeff = math.exp(float(special.gammaln((n + 1) / 2.0) - special.gammaln(n / 2.0)
+                                   - 0.5 * math.log(n * math.pi)))
+            value = direct_integral(lambda t: coeff * (1.0 + t * t / n) ** (-(n + 1) / 2.0), x)
+            assert ac.quad_student_cdf(n, x) == min(1.0, 0.5 + value)
+        value = direct_integral(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi), x)
+        assert ac.quad_normal_symmetric_tail(x) == max(0.0, 1.0 - 2.0 * value)
+
+
 # run in a fresh interpreter, since this test process holds numpy and may hold scipy
 _IMPORT_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
