@@ -234,8 +234,8 @@ class InfimumEstimate:
     grid: GridSpec
 
 
-def _complete_point(family: FamilyId, point: dict) -> dict:
-    params = dict(point)
+def _complete_point(family: FamilyId, params: dict) -> dict:
+    """params, its derived axes replaced in place by the family's own parameters."""
     if family is FamilyId.UNIFORM and "a" not in params and "b" in params:
         params["a"] = -params["b"]
     if family is FamilyId.NEG_BINOMIAL and "q" in params:
