@@ -224,7 +224,7 @@ class TailResult:
     """P(|X - mu| >= y*sigma) plus how it was computed."""
 
     probability: float
-    method: str  # closed-form | special-function | pmf-sum | quadrature | monte-carlo
+    method: str  # closed-form | special-function | pmf-sum
     abs_error_bound: float
 
     def to_json_dict(self) -> dict:
