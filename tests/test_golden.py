@@ -219,11 +219,6 @@ def _load():
 GOLDEN = {"cli": {}, "lib": {}, "demos": {}, **(_load() if DATA.exists() else {})}
 
 
-@pytest.fixture(autouse=True)
-def _no_config_env(monkeypatch):
-    monkeypatch.delenv("ANTICONC_CONFIG", raising=False)
-
-
 @pytest.mark.parametrize("key", sorted(GOLDEN["cli"]))
 def test_cli_output_unchanged(key):
     case = GOLDEN["cli"][key]
@@ -288,9 +283,6 @@ def changes(old: dict, new: dict):
 
 
 if __name__ == "__main__":
-    import os
-
-    os.environ.pop("ANTICONC_CONFIG", None)
     recorded = record()
     for line in changes(_load() if DATA.exists() else {}, recorded):
         print(line)
