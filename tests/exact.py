@@ -71,3 +71,81 @@ def binomial_tail(n, p, y):
         p = mpmath.mpf(p)
         return 1 - mpmath.fsum(mpmath.binomial(n, k) * p ** k * (1 - p) ** (n - k)
                                for k in range(max(lo + 1, 0), min(hi, n + 1)))
+
+
+LATTICE_DIGITS = 60
+
+
+def poisson_tail_mp(lam, y):
+    """Q(k + 1, lambda) + P(k', lambda) from mpmath's regularized gammainc.
+
+    Below lambda = 1 the upper tail P(k', lambda), about lambda on the witness
+    ray, is taken directly: 1 - Q(k', lambda) keeps only 60 + log10(lambda)
+    digits.  From lambda = 1 on it is 1 - Q, since mpmath's lower series stops
+    converging past lambda = 10^6.
+    """
+    with mpmath.workdps(LATTICE_DIGITS):
+        lo, hi = lattice_ends(ac.poisson(lam), y)
+        lam = mpmath.mpf(lam)
+        lower = mpmath.gammainc(lo + 1, lam, mpmath.inf, regularized=True) if lo >= 0 else 0
+        if lam < 1:
+            return lower + mpmath.gammainc(hi, 0, lam, regularized=True)
+        return lower + 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
+
+
+def neg_binomial_tail_mp(r, p, y):
+    """I_p(r, k + 1) + I_{1-p}(k', r) at 60 digits, with 1 - p exact."""
+    with mpmath.workdps(LATTICE_DIGITS):
+        lo, hi = lattice_ends(ac.neg_binomial(r, p), y)
+        r, p = mpmath.mpf(r), mpmath.mpf(p)
+        q = 1 - p
+        lower = inc_beta(p, r, lo + 1) if lo >= 0 else 0
+        return lower + inc_beta(q, hi, r)
+
+
+GAMMA_DIGITS = 40
+# standardized knots the quadrature splits at, so no piece spans a density
+# that changes by more than about e^-60 across it
+_LADDER = (-40, -30, -20, -14, -10, -7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7, 10, 14, 20, 30, 40)
+
+
+def gamma_lower_mp(a, xs):
+    """P(a, x) for each x of xs, at 40 digits.
+
+    The density of Gamma(a) in u = (t - a)/sqrt(a) is integrated by
+    Gauss-Legendre piece by piece, from 40 below the least u (or from
+    t = 0), and summed up to each x.  Q is 1 - P, exact at 40 digits in
+    absolute terms.
+    """
+    with mpmath.workdps(GAMMA_DIGITS):
+        a = mpmath.mpf(a)
+        r = mpmath.sqrt(a)
+        log_top = mpmath.log(r) + (a - 1) * mpmath.log(a) - a - mpmath.loggamma(a)
+
+        def density(u):
+            if u <= -r:
+                return mpmath.mpf(0)
+            return mpmath.exp(log_top + (a - 1) * mpmath.log1p(u / r) - u * r)
+
+        us = [(mpmath.mpf(x) - a) / r for x in xs]
+        start = max(-r, min(us) - 40)
+        knots = sorted({start, *us, *(mpmath.mpf(k) for k in _LADDER
+                                      if start < k < max(us))})
+        below = {knots[0]: mpmath.mpf(0)}
+        for left, right in zip(knots, knots[1:]):
+            below[right] = below[left] + mpmath.quad(density, [left, right],
+                                                     method="gauss-legendre")
+        return [below[u] for u in us]
+
+
+def gamma_poisson_tail_mp(ps, y):
+    """P(|X - mu| >= y sigma) at 40 digits, with the ends placed by the
+    double moments as tail_probability places them."""
+    with mpmath.workdps(GAMMA_DIGITS):
+        if ps.family is ac.FamilyId.GAMMA:
+            p_lo, p_hi = gamma_lower_mp(ps.params["alpha"], list(ends(ps, y)))
+            return p_lo + 1 - p_hi
+        # P(X <= k) = Q(k + 1, lambda) and P(X >= k') = P(k', lambda)
+        lam = ps.params["lambda"]
+        k, k_up = lattice_ends(ps, y)
+        return 1 - gamma_lower_mp(k + 1.0, [lam])[0] + gamma_lower_mp(float(k_up), [lam])[0]

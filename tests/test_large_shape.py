@@ -10,7 +10,7 @@ y = 10^298 for a call that does not return.
 
 mpmath's gammainc raises NoConvergence on the lower tail from a = 1e5 and
 takes seconds for the upper one from 1e12, so the reference is a
-quadrature of the Gamma(a) density.
+quadrature of the Gamma(a) density (`exact.gamma_lower_mp`).
 """
 
 import math
@@ -23,47 +23,12 @@ from anticonc import specfun
 
 import exact
 
-DIGITS = 40
-# standardized knots the quadrature splits at, so no piece spans a density
-# that changes by more than about e^-60 across it
-_LADDER = (-40, -30, -20, -14, -10, -7, -5, -3, -2, -1, 0, 1, 2, 3, 5, 7, 10, 14, 20, 30, 40)
-
-
-def gamma_lower_mp(a, xs):
-    """P(a, x) for each x of xs, at 40 digits.
-
-    The density of Gamma(a) in u = (t - a)/sqrt(a) is integrated by
-    Gauss-Legendre piece by piece, from 40 below the least u (or from
-    t = 0), and summed up to each x.  Q is 1 - P, exact at 40 digits in
-    absolute terms.
-    """
-    with mpmath.workdps(DIGITS):
-        a = mpmath.mpf(a)
-        r = mpmath.sqrt(a)
-        log_top = mpmath.log(r) + (a - 1) * mpmath.log(a) - a - mpmath.loggamma(a)
-
-        def density(u):
-            if u <= -r:
-                return mpmath.mpf(0)
-            return mpmath.exp(log_top + (a - 1) * mpmath.log1p(u / r) - u * r)
-
-        us = [(mpmath.mpf(x) - a) / r for x in xs]
-        start = max(-r, min(us) - 40)
-        knots = sorted({start, *us, *(mpmath.mpf(k) for k in _LADDER
-                                      if start < k < max(us))})
-        below = {knots[0]: mpmath.mpf(0)}
-        for left, right in zip(knots, knots[1:]):
-            below[right] = below[left] + mpmath.quad(density, [left, right],
-                                                     method="gauss-legendre")
-        return [below[u] for u in us]
-
-
 def test_the_quadrature_agrees_with_gammainc_where_that_converges():
     a = 1000.0
     xs = [a + s * math.sqrt(a) for s in (-5, -1, 0, 0.5, 2, 5)]
-    with mpmath.workdps(DIGITS):
+    with mpmath.workdps(exact.GAMMA_DIGITS):
         want = [mpmath.gammainc(a, 0, x, regularized=True) for x in xs]
-    for got, w in zip(gamma_lower_mp(a, xs), want):
+    for got, w in zip(exact.gamma_lower_mp(a, xs), want):
         assert abs(got - w) <= mpmath.mpf(10) ** -35
 
 
@@ -76,7 +41,7 @@ def assert_kernels_near(a, xs):
     """_gamma_tails (P and Q) within two ulps of the 40-digit P(a, x) in the
     Temme band and elsewhere within the series and fraction's 1e-15;
     reg_inc_gamma_lower is its P."""
-    for x, p in zip(xs, gamma_lower_mp(a, xs)):
+    for x, p in zip(xs, exact.gamma_lower_mp(a, xs)):
         band = a >= 100.0 and abs(x - a) <= 0.3 * a
         got_p, got_q = specfun._gamma_tails(a, x)
         assert max(abs(got_p - p), abs(got_q - (1 - p))) <= (TWO_ULPS if band else 1e-15)
@@ -110,19 +75,6 @@ def test_either_side_of_the_band_edges(a):
     assert_kernels_near(a, xs)
 
 
-def _tail_mp(ps, y):
-    """P(|X - mu| >= y sigma) at 40 digits, with the ends placed by the
-    double moments as tail_probability places them."""
-    with mpmath.workdps(DIGITS):
-        if ps.family is ac.FamilyId.GAMMA:
-            p_lo, p_hi = gamma_lower_mp(ps.params["alpha"], list(exact.ends(ps, y)))
-            return p_lo + 1 - p_hi
-        # P(X <= k) = Q(k + 1, lambda) and P(X >= k') = P(k', lambda)
-        lam = ps.params["lambda"]
-        k, k_up = exact.lattice_ends(ps, y)
-        return 1 - gamma_lower_mp(k + 1.0, [lam])[0] + gamma_lower_mp(float(k_up), [lam])[0]
-
-
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("ps", [ac.poisson(1e8), ac.poisson(1e11), ac.poisson(1e15),
                                 ac.gamma_family(1e4, 1.0), ac.gamma_family(1e8, 1.0),
@@ -132,7 +84,7 @@ def test_large_shape_tails_within_the_bound(ps, y):
     # Poisson(1e11) and (1e15) and gamma(1e12, 1) raised ConvergenceError
     # after 0.25 s a call before the expansion
     got = ac.tail_probability(ps, y)
-    assert abs(got.probability - _tail_mp(ps, y)) <= got.abs_error_bound
+    assert abs(got.probability - exact.gamma_poisson_tail_mp(ps, y)) <= got.abs_error_bound
 
 
 SCAN_SHAPES = (1e3, 1e6, 1e10, 1e20, 1e50, 1e100, 1e150)

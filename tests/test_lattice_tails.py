@@ -19,35 +19,7 @@ from anticonc.errors import DomainError
 
 import exact
 
-DIGITS = 60
 Y_PANEL = (0.5, 1.0, 2.0, 10.0)
-
-
-def poisson_tail_mp(lam, y):
-    """Q(k + 1, lambda) + P(k', lambda) from mpmath's regularized gammainc.
-
-    Below lambda = 1 the upper tail P(k', lambda), about lambda on the witness
-    ray, is taken directly: 1 - Q(k', lambda) keeps only 60 + log10(lambda)
-    digits.  From lambda = 1 on it is 1 - Q, since mpmath's lower series stops
-    converging past lambda = 10^6.
-    """
-    with mpmath.workdps(DIGITS):
-        lo, hi = exact.lattice_ends(ac.poisson(lam), y)
-        lam = mpmath.mpf(lam)
-        lower = mpmath.gammainc(lo + 1, lam, mpmath.inf, regularized=True) if lo >= 0 else 0
-        if lam < 1:
-            return lower + mpmath.gammainc(hi, 0, lam, regularized=True)
-        return lower + 1 - mpmath.gammainc(hi, lam, mpmath.inf, regularized=True)
-
-
-def neg_binomial_tail_mp(r, p, y):
-    """I_p(r, k + 1) + I_{1-p}(k', r) at 60 digits, with 1 - p exact."""
-    with mpmath.workdps(DIGITS):
-        lo, hi = exact.lattice_ends(ac.neg_binomial(r, p), y)
-        r, p = mpmath.mpf(r), mpmath.mpf(p)
-        q = 1 - p
-        lower = exact.inc_beta(p, r, lo + 1) if lo >= 0 else 0
-        return lower + exact.inc_beta(q, hi, r)
 
 
 def _within_bound(got, want):
@@ -62,7 +34,7 @@ def test_poisson_decades_within_the_bound(decade, y):
     lam = 10.0 ** decade
     got = ac.tail_probability(ac.poisson(lam), y)
     assert got.method == "special-function"
-    assert _within_bound(got, poisson_tail_mp(lam, y))
+    assert _within_bound(got, exact.poisson_tail_mp(lam, y))
 
 
 @pytest.mark.parametrize("y", Y_PANEL)
@@ -73,14 +45,14 @@ def test_neg_binomial_panel_within_the_bound(r, p, y):
     # tails; the fraction of _beta_cf alone was off by 1.2e-13 there
     got = ac.tail_probability(ac.neg_binomial(r, p), y)
     assert got.method == "special-function"
-    assert _within_bound(got, neg_binomial_tail_mp(r, p, y))
+    assert _within_bound(got, exact.neg_binomial_tail_mp(r, p, y))
 
 
 @pytest.mark.parametrize("y,ks", [(1.0, (2, 6)), (2.0, (0, 8))])
 def test_poisson_lattice_points_at_exactly_y_sigma_count(y, ks):
     # Poisson(4): mu = 4 and sigma = 2, so k = 2 and 6 sit at y = 1, and
     # k = 0 and 8 at y = 2
-    with mpmath.workdps(DIGITS):
+    with mpmath.workdps(exact.LATTICE_DIGITS):
         lo, hi = ks
 
         def pmf(k):
@@ -100,7 +72,7 @@ def test_cdf_is_the_lower_tail(ps):
         k = exact.lattice_ends(ps, y)[0]
         if k < 0:
             continue
-        with mpmath.workdps(DIGITS):
+        with mpmath.workdps(exact.LATTICE_DIGITS):
             if ps.family is ac.FamilyId.POISSON:
                 want = mpmath.gammainc(k + 1, mpmath.mpf(ps["lambda"]), mpmath.inf,
                                        regularized=True)
@@ -131,13 +103,13 @@ def _check_ray_certificate(w, true_tail):
 def test_poisson_ray_certificates_are_sound(y):
     for eps in RAY_EPSILONS:
         w = ac.witness_parameter("poisson", y, eps)
-        _check_ray_certificate(w, poisson_tail_mp(w.params["lambda"], y))
+        _check_ray_certificate(w, exact.poisson_tail_mp(w.params["lambda"], y))
 
 
 def test_poisson_certificate_at_1e_14_is_sound():
     # 1 - inner certified lambda = 1.066e-14, whose tail 1.066e-14 is above eps
     w = ac.witness_parameter("poisson", 1.0, 1e-14)
-    assert poisson_tail_mp(w.params["lambda"], 1.0) <= 1e-14
+    assert exact.poisson_tail_mp(w.params["lambda"], 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
@@ -145,7 +117,7 @@ def test_poisson_ray_tail_is_one_minus_e_to_the_minus_lambda(y):
     # from lambda = 0.1 on, 1 is the only point of the tail: 1 - e^-lambda
     for lam in RAY_POINTS:
         got = ac.tail_probability(ac.poisson(lam), y).probability
-        with mpmath.workdps(DIGITS):
+        with mpmath.workdps(exact.LATTICE_DIGITS):
             want = -mpmath.expm1(-mpmath.mpf(lam))
         assert abs(got - want) <= 1e-15 * want, lam
 
@@ -160,7 +132,7 @@ def test_neg_binomial_ray_certificates_are_sound(y):
                 ac.witness_parameter("neg-binomial", y, eps)
             continue
         w = ac.witness_parameter("neg-binomial", y, eps)
-        _check_ray_certificate(w, neg_binomial_tail_mp(1.0, w.params["p"], y))
+        _check_ray_certificate(w, exact.neg_binomial_tail_mp(1.0, w.params["p"], y))
 
 
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
