@@ -289,6 +289,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.axes:
             raise DomainError("GridSpec needs at least one axis")
+        # a grid takes one tail per point, so its points are capped as an axis's are
+        count = math.prod(axis.points for axis in self.axes.values())
+        if count > 10**6:
+            raise DomainError(f"grid axes make {count} points, more than 10**6")
 
     def to_json_dict(self) -> dict:
         return {"axes": {k: v.to_json_dict() for k, v in sorted(self.axes.items())},
@@ -326,24 +330,26 @@ _Params = Mapping[str, float]
 class Family:
     """Everything the public functions below know about one family's law.
 
-    Each family gives its fields, constraint check, moments, sampler, and
-    the method and error bound of its tails.  A continuous family adds
-    P(X <= x) and P(X >= x); the uniform, exponential and Gaussian give
-    instead their standardized tail in y alone, which no parameter
-    moves.  Weibull and log-normal moments overflow a double far along
-    their witness rays, so those two give log-moments and both tails at
-    e^u instead of the survival function.  The gamma and beta take
-    P(X <= x) and P(X >= x) as the two values of one incomplete gamma or
-    beta at x, and the Poisson and negative binomial, through
-    `_on_lattice`, as incomplete gamma and beta values at floor(x) and
-    ceil(x).  The binomial and hypergeometric give their bounded integer
-    support, which refuses a law too large for exact integer terms, and
-    `log_pmfs(p, k0, k1)`, which yields log pmf(k) for k from k0 to k1 and
-    forms no other term.  Each function sees the parameters as `_checked`
-    types them, in one pass over `fields`: the fields named in
-    `integer_fields` as int, the rest as float.  `sample` draws variate by
-    variate, so draws made in blocks replay one array of the same total,
-    bit for bit.
+    Each family gives its fields, constraint check, moments as a (mean,
+    variance) pair, sampler, and the method and error bound of its tails.
+    A continuous family adds P(X <= x) and P(X >= x); the uniform,
+    exponential and Gaussian give instead their standardized tail in y
+    alone, which no parameter moves.  Weibull and log-normal moments
+    overflow a double far along their witness rays, so those two give
+    log-moments and both tails at e^u instead of the survival function.
+    The gamma and beta take P(X <= x) and P(X >= x) as the two values of
+    one incomplete gamma or beta at x, and the Poisson and negative
+    binomial, through `_on_lattice`, as incomplete gamma and beta values
+    at floor(x) and ceil(x).  The binomial and hypergeometric give their
+    bounded integer support, which refuses a law too large for exact
+    integer terms, and `log_pmfs(p, k0, k1)`, which yields log pmf(k) for
+    k from k0 to k1 and forms no other term.  Each function sees the
+    parameters as `_checked` types them, in one pass over `fields`: the
+    fields named in `integer_fields` as int, the rest as float.  `_tail`
+    takes a standardized tail from these functions in floats alone, and
+    the public `moments` and `tail_probability` build their records from
+    the floats at the edge.  `sample` draws variate by variate, so draws made
+    in blocks replay one array of the same total, bit for bit.
 
     Each record also carries what the checks and the paper's verdict need:
     `panel`, one representative, well-conditioned member, which the
@@ -355,7 +361,7 @@ class Family:
 
     fields: tuple[str, ...]
     check: Callable[[_Params], list[str]]  # violations, for well-formed params
-    moments: Callable[[_Params], Moments]
+    moments: Callable[[_Params], tuple[float, float]]  # (mean, variance)
     method: str
     abs_error_bound: float
     sample: Callable  # (params, rng, size) -> variates
@@ -391,12 +397,12 @@ def _log_expm1(d: float) -> float:
 
 
 def _exp_moments(log_moments):
-    """Moments from (log mean, log sd); infinite where a double overflows."""
-    def moments_(p: _Params) -> Moments:
+    """(mean, variance) from (log mean, log sd); infinite where a double overflows."""
+    def moments_(p: _Params) -> tuple[float, float]:
         log_mean, log_sd = log_moments(p)
         mean = math.exp(log_mean) if log_mean < 709.0 else math.inf
         var = math.exp(2.0 * log_sd) if 2.0 * log_sd < 709.0 else math.inf
-        return Moments(mean, var)
+        return mean, var
     return moments_
 
 
@@ -488,9 +494,9 @@ def student_t_cdf(n: int, x: float) -> float:
     return clamp_probability(0.5 + x * coeff * hyp, context="student_t_cdf")
 
 
-def _binomial_moments(p: _Params) -> Moments:
+def _binomial_moments(p: _Params) -> tuple[float, float]:
     n, pr = p["n"], p["p"]
-    return Moments(n * pr, n * pr * (1.0 - pr))
+    return n * pr, n * pr * (1.0 - pr)
 
 
 def _binomial_support(p: _Params) -> tuple[int, int]:
@@ -505,10 +511,10 @@ def _binomial_log_pmf(p: _Params, k: int) -> float:
     return math.log(math.comb(n, k)) + k * math.log(pr) + (n - k) * math.log1p(-pr)
 
 
-def _neg_binomial_moments(p: _Params) -> Moments:
+def _neg_binomial_moments(p: _Params) -> tuple[float, float]:
     r, pr = p["r"], p["p"]
     q = 1.0 - pr
-    return Moments(r * q / pr, _over_square(r * q, pr))
+    return r * q / pr, _over_square(r * q, pr)
 
 
 def _on_lattice(at_most, at_least) -> dict:
@@ -532,11 +538,11 @@ def _check_hypergeometric(p: _Params) -> list[str]:
     return problems
 
 
-def _hypergeometric_moments(p: _Params) -> Moments:
+def _hypergeometric_moments(p: _Params) -> tuple[float, float]:
     M, N, n = float(p["M"]), float(p["N"]), float(p["n"])
     mean = n * M / N
     var = n * (M / N) * (1.0 - M / N) * (N - n) / (N - 1.0)
-    return Moments(mean, var)
+    return mean, var
 
 
 def _hypergeometric_support(p: _Params) -> tuple[int, int]:
@@ -568,9 +574,9 @@ def _hypergeometric_log_pmfs(p: _Params, k0: int, k1: int) -> Iterator[float]:
         yield math.log(good) + math.log(bad) - log_all
 
 
-def _pareto_moments(p: _Params) -> Moments:
+def _pareto_moments(p: _Params) -> tuple[float, float]:
     r, A = p["r"], p["A"]
-    return Moments(r * A / (r - 1.0), r * A * A / ((r - 2.0) * _square(r - 1.0)))
+    return r * A / (r - 1.0), r * A * A / ((r - 2.0) * _square(r - 1.0))
 
 
 def _weibull_log_moments(p: _Params) -> tuple[float, float]:
@@ -614,14 +620,14 @@ def _lognormal_sample(p: _Params, rng: np.random.Generator, size):
     return np.exp(p["alpha"] + p["sigma"] * rng.standard_normal(size))
 
 
-def _beta_moments(p: _Params) -> Moments:
+def _beta_moments(p: _Params) -> tuple[float, float]:
     pp, qq = p["p"], p["q"]
     s = pp + qq
     num, den = pp * qq, s * s * (s + 1.0)
     if not (num >= sys.float_info.min and den < math.inf):
         # a product left a double's normal range: scale p and q by s first
         num, den = (pp / s) * (qq / s), s + 1.0
-    return Moments(pp / s, num / den)
+    return pp / s, num / den
 
 
 def _beta_sides(p: _Params, x: float) -> tuple[float, float]:
@@ -740,14 +746,14 @@ _FAMILIES: dict[FamilyId, Family] = {
         fields=("a", "b"),
         check=_require((lambda p: p["a"] < p["b"], "a must be < b")),
         # halved first: a + b overflows where the mean does not
-        moments=lambda p: Moments(p["a"] / 2.0 + p["b"] / 2.0, _square(p["b"] - p["a"]) / 12.0),
+        moments=lambda p: (p["a"] / 2.0 + p["b"] / 2.0, _square(p["b"] - p["a"]) / 12.0),
         method="closed-form", abs_error_bound=1e-14,
         sample=lambda p, rng, size: p["a"] + (p["b"] - p["a"]) * rng.random(size),
         panel=uniform(-1.0, 2.0), grid=GridSpec({"b": GridAxis(1e-2, 1e2, 100, "logarithmic")}),
         cdf=_uniform_cdf, std_tail=lambda y: max(0.0, 1.0 - y / math.sqrt(3.0))),
     FamilyId.EXPONENTIAL: Family(
         fields=("lambda",), check=_positive("lambda"),
-        moments=lambda p: Moments(1.0 / p["lambda"], _over_square(1.0, p["lambda"])),
+        moments=lambda p: (1.0 / p["lambda"], _over_square(1.0, p["lambda"])),
         method="closed-form", abs_error_bound=1e-14,
         sample=_exponential_sample,
         panel=exponential(1.3),
@@ -758,7 +764,7 @@ _FAMILIES: dict[FamilyId, Family] = {
                             + math.exp(-(1.0 + y)))),
     FamilyId.GAUSSIAN: Family(
         fields=("mu", "sigma"), check=_positive("sigma"),
-        moments=lambda p: Moments(p["mu"], _square(p["sigma"])),
+        moments=lambda p: (p["mu"], _square(p["sigma"])),
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: p["mu"] + p["sigma"] * rng.standard_normal(size),
         panel=gaussian(0.5, 2.0),
@@ -769,7 +775,7 @@ _FAMILIES: dict[FamilyId, Family] = {
     FamilyId.STUDENT_T: Family(
         fields=("n",), integer_fields=("n",),
         check=_require((lambda p: p["n"] >= 3, "n must be >= 3 (variance requires n >= 3)")),
-        moments=lambda p: Moments(0.0, p["n"] / (p["n"] - 2.0)),
+        moments=lambda p: (0.0, p["n"] / (p["n"] - 2.0)),
         method="special-function", abs_error_bound=1e-12,
         sample=lambda p, rng, size: rng.standard_t(p["n"], size), panel=student_t(5),
         grid=GridSpec({"n": GridAxis(3, 400, 398, "linear", integer=True)}),
@@ -791,7 +797,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         log_pmfs=lambda p, k0, k1: (_binomial_log_pmf(p, k) for k in range(k0, k1 + 1))),
     FamilyId.POISSON: Family(
         fields=("lambda",), check=_positive("lambda"),
-        moments=lambda p: Moments(p["lambda"], p["lambda"]),
+        moments=lambda p: (p["lambda"], p["lambda"]),
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.poisson(p["lambda"], size),
         panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
@@ -827,7 +833,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         support=_hypergeometric_support, log_pmfs=_hypergeometric_log_pmfs),
     FamilyId.GAMMA: Family(
         fields=("alpha", "beta"), check=_positive("alpha", "beta"),
-        moments=lambda p: Moments(p["alpha"] * p["beta"], p["alpha"] * p["beta"] * p["beta"]),
+        moments=lambda p: (p["alpha"] * p["beta"], p["alpha"] * p["beta"] * p["beta"]),
         method="special-function", abs_error_bound=1e-12,
         sample=lambda p, rng, size: rng.gamma(p["alpha"], p["beta"], size),
         panel=gamma_family(2.5, 1.5),
@@ -900,17 +906,16 @@ _FAMILIES: dict[FamilyId, Family] = {
 
 # --- the public operations, generic over the table ------------------------------
 
-def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
-    """ps's record, its parameters and its violations.
+def _checked(law: Family, params: _Params) -> tuple[_Params, list[str]]:
+    """params typed for law's family, and their violations.
 
     One pass over the record's fields types each value once it is a number
     within a double: an integer field takes int(value) for an int or an
     integral float, any other field float(value) (numpy's float64 is a
     float).  The constraints are then checked on these typed values, the
     ones the record computes with.  A set that cannot be typed is handed
-    back as it is, with the problems _untyped finds in it."""
-    law = _FAMILIES[ps.family]
-    params = ps.params
+    back as it is, with the problems _untyped finds in it.  A ParamSet's
+    parameters and a grid's completed points both pass here."""
     integer_fields = law.integer_fields
     typed = {}
     if len(params) == len(law.fields):
@@ -929,8 +934,8 @@ def _checked(ps: ParamSet) -> tuple[Family, _Params, list[str]]:
             else:
                 break
         else:
-            return law, typed, law.check(typed)
-    return law, params, _untyped(law, params)
+            return typed, law.check(typed)
+    return params, _untyped(law, params)
 
 
 def _untyped(law: Family, params: _Params) -> list[str]:
@@ -952,12 +957,13 @@ def validate(ps: ParamSet) -> list[str]:
     An empty list means the ParamSet is valid.  Structural problems
     (wrong field names, non-numeric values) are reported the same way.
     """
-    return _checked(ps)[2]
+    return _checked(_FAMILIES[ps.family], ps.params)[1]
 
 
 def _valid_law(ps: ParamSet) -> tuple[Family, _Params]:
     """The record of ps's family and its typed parameters, once ps is valid."""
-    law, params, problems = _checked(ps)
+    law = _FAMILIES[ps.family]
+    params, problems = _checked(law, ps.params)
     if problems:
         raise DomainError(f"invalid {ps.family.value} parameters: " + "; ".join(problems))
     return law, params
@@ -966,7 +972,7 @@ def _valid_law(ps: ParamSet) -> tuple[Family, _Params]:
 def moments(ps: ParamSet) -> Moments:
     """Exact mean and variance; past a double they overflow to inf or underflow to 0.0."""
     law, p = _valid_law(ps)
-    return law.moments(p)
+    return Moments(*law.moments(p))
 
 
 def _discrete_sum(law: Family, p: _Params, kmin: int, kmax: int, upper: float, keep) -> float:
@@ -1017,16 +1023,16 @@ def _tail_from_log_scale(law: Family, p: _Params, y: float) -> float:
     return clamp_probability(lower + upper, context="log-scale tail")
 
 
-def _tail_sd(family: FamilyId, m: Moments) -> float:
-    """sigma from m, refused unless the mean and variance are finite and sigma > 0."""
-    if not (math.isfinite(m.mean) and math.isfinite(m.variance)):
+def _tail_sd(family: FamilyId, mean: float, variance: float) -> float:
+    """sigma, refused unless the mean and variance are finite and sigma > 0."""
+    if not (math.isfinite(mean) and math.isfinite(variance)):
         raise DomainError(f"{family.value} moments overflow a double: " + ", ".join(
-            f"{name} is {value!r}" for name, value in vars(m).items()
+            f"{name} is {value!r}" for name, value in (("mean", mean), ("variance", variance))
             if not math.isfinite(value)))
-    if m.variance == 0.0:
+    if variance == 0.0:
         raise DomainError(f"{family.value} variance underflows a double to 0.0 "
-                          f"(mean is {m.mean!r}), so no tail can be standardized by it")
-    return math.sqrt(m.variance)
+                          f"(mean is {mean!r}), so no tail can be standardized by it")
+    return math.sqrt(variance)
 
 
 def tail_probability(ps: ParamSet, y: float) -> TailResult:
@@ -1044,38 +1050,36 @@ def tail_probability(ps: ParamSet, y: float) -> TailResult:
     (hypergeometric), where exact integer terms grow too costly.  Either
     way, lattice points at exactly y standard deviations count toward the
     tail.  Where mu -/+ y*sigma round onto mu, no tail can be placed and
-    DomainError is raised.
+    DomainError is raised.  The parameters are checked before y.
     """
     law, p = _valid_law(ps)
-    y = _check_y(y)
-    if law.std_tail is not None:
-        return TailResult(law.std_tail(y), law.method, law.abs_error_bound)
-    if law.log_moments is not None:
-        prob = _tail_from_log_scale(law, p, y)
-        return TailResult(prob, law.method, law.abs_error_bound)
+    return TailResult(_tail(law, ps.family, p, _check_y(y)), law.method, law.abs_error_bound)
 
-    m = law.moments(p)
-    sd = _tail_sd(ps.family, m)
-    lo = m.mean - y * sd
-    hi = m.mean + y * sd
+
+def _tail(law: Family, family: FamilyId, p: _Params, y: float) -> float:
+    """tail_probability's number for law's typed parameters p and a checked y."""
+    if law.std_tail is not None:
+        return law.std_tail(y)
+    if law.log_moments is not None:
+        return _tail_from_log_scale(law, p, y)
+    mean, variance = law.moments(p)
+    sd = _tail_sd(family, mean, variance)
+    lo = mean - y * sd
+    hi = mean + y * sd
     if not (math.isfinite(lo) and math.isfinite(hi)):
         # a finite mu passes a double's edge only if y*sigma >= 2^970; a finite
         # variance keeps sigma <= 1.35e154, so y > 7.4e137 and by Chebyshev
         # the tail is below 1/y^2 < 2e-276, under every family's bound
-        return TailResult(0.0, law.method, law.abs_error_bound)
-    if not lo < m.mean < hi:
-        raise DomainError(f"{ps.family.value} y*sigma = {y * sd!r} is lost in rounding the mean "
-                          f"{m.mean!r}, so no tail can be placed around it")
-
+        return 0.0
+    if not lo < mean < hi:
+        raise DomainError(f"{family.value} y*sigma = {y * sd!r} is lost in rounding the mean "
+                          f"{mean!r}, so no tail can be placed around it")
     if law.log_pmfs is not None:
         kmin, kmax = law.support(p)
         k0 = max(kmin, math.ceil(lo))
-        inner = _discrete_sum(law, p, k0, kmax, hi, keep=lambda k: abs(k - m.mean) < y * sd)
-        prob = clamp_probability(1.0 - inner, context="discrete tail")
-    else:
-        prob = clamp_probability(law.cdf(p, lo) + law.survival(p, hi),
-                                 context="continuous tail")
-    return TailResult(prob, law.method, law.abs_error_bound)
+        inner = _discrete_sum(law, p, k0, kmax, hi, keep=lambda k: abs(k - mean) < y * sd)
+        return clamp_probability(1.0 - inner, context="discrete tail")
+    return clamp_probability(law.cdf(p, lo) + law.survival(p, hi), context="continuous tail")
 
 
 def sample(ps: ParamSet, rng: np.random.Generator, size=None):

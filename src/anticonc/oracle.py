@@ -42,10 +42,10 @@ from .distributions import (
     _check_dof,
     _check_x,
     _check_y,
+    _checked,
+    _tail,
     _tail_sd,
     _valid_law,
-    tail_probability,
-    validate,
 )
 from .errors import ConvergenceError, DomainError
 
@@ -136,8 +136,8 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
                           f"got {n_samples!r}")
     _check_seed(seed)
     y = _check_y(y)
-    m = law.moments(p)
-    sd = _tail_sd(ps.family, m)
+    mean, variance = law.moments(p)
+    sd = _tail_sd(ps.family, mean, variance)
     import numpy as np
     base = np.random.PCG64(seed)
     sizes = _block_sizes(n_samples, _MC_BLOCK)
@@ -149,7 +149,7 @@ def mc_tail(ps: ParamSet, y: float, n_samples: int, seed: int) -> McEstimate:
         for i in range(first, len(sizes), workers):
             draws = law.sample(p, np.random.Generator(base.jumped(i)), sizes[i])
             # |X - mu| in one float array: the draws' own, or one new for integer draws
-            dev = np.subtract(draws, m.mean, out=draws if draws.dtype.kind == "f" else None)
+            dev = np.subtract(draws, mean, out=draws if draws.dtype.kind == "f" else None)
             hits += int(np.count_nonzero(np.abs(dev, out=dev) >= y * sd))
         return hits
 
@@ -252,33 +252,32 @@ def grid_infimum(family: Union[FamilyId, str], y: float, grid: GridSpec) -> Infi
 
     Every completed grid point must be a valid parameter set; an invalid
     range is the caller's error, not a point to skip silently.  Each point
-    is validated once, by its tail_probability call; only when that call
-    raises DomainError is the point validated again, so that an invalid
-    point is refused as "grid point {...} violates <family> constraints: ..."
-    while a valid point keeps the DomainError its tail (or y) raised.
+    is typed and checked once, by `_checked`, and an invalid one is refused
+    at once as "grid point {...} violates <family> constraints: ...".  y is
+    checked once the first point passes, so a bad point is named before a
+    bad y.  A valid point's tail is `_tail`'s float, so the only ParamSet
+    built is the argmin's, the same completed dict.
     """
     family = _as_family(family)
+    law = _FAMILIES[family]
     names = sorted(grid.axes)
     value_lists = [grid.axes[name].values().tolist() for name in names]
     best: Optional[float] = None
-    best_ps: Optional[ParamSet] = None
+    best_point: Optional[dict] = None
     for combo in itertools.product(*value_lists):
         point = dict(grid.fixed)
         point.update(zip(names, combo))
-        ps = ParamSet(family, _complete_point(family, point))
-        try:
-            tail = tail_probability(ps, y).probability
-        except DomainError:
-            problems = validate(ps)
-            if problems:
-                raise DomainError(
-                    f"grid point {ps.params!r} violates {family.value} constraints: "
-                    + "; ".join(problems)) from None
-            raise
+        p, problems = _checked(law, _complete_point(family, point))
+        if problems:
+            raise DomainError(f"grid point {point!r} violates {family.value} constraints: "
+                              + "; ".join(problems))
+        if best is None:
+            y = _check_y(y)
+        tail = _tail(law, family, p, y)
         if best is None or tail < best:
-            best, best_ps = tail, ps
-    assert best is not None and best_ps is not None
-    return InfimumEstimate(value=best, argmin=best_ps, grid=grid)
+            best, best_point = tail, point
+    assert best is not None and best_point is not None
+    return InfimumEstimate(value=best, argmin=ParamSet(family, best_point), grid=grid)
 
 
 def default_grid(family: Union[FamilyId, str]) -> GridSpec:

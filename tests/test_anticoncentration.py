@@ -598,9 +598,10 @@ class TestWitnesses:
         assert sum(counts) / len(counts) <= 1.5
         assert max(counts) <= 12
 
-    def test_searches_and_grids_call_tail_probability_by_module_name(self, monkeypatch):
-        # bench/tracing.py counts the tails of each witness search and grid by
-        # wrapping the tail_probability these modules bind; a bypass reads 0
+    def test_searches_call_tail_probability_and_grids_call_tail_by_module_name(self, monkeypatch):
+        # bench/tracing.py counts the tails of each witness search by wrapping the
+        # tail_probability anticoncentration binds; a bypass reads 0.  A grid takes
+        # each point's float from the _tail oracle binds, one call per point
         calls = []
         real = distributions.tail_probability
 
@@ -608,7 +609,6 @@ class TestWitnesses:
             calls.append(ps)
             return real(ps, y)
         monkeypatch.setattr(anticoncentration, "tail_probability", counting)
-        monkeypatch.setattr(oracle, "tail_probability", counting)
         for family in sorted(ac.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value):
             law = distributions._FAMILIES[family]
             builds = []
@@ -625,11 +625,18 @@ class TestWitnesses:
                 # one tail per point the search steps to; the last build is the witness's
                 assert len(calls) == len(builds) - 1 >= 1, (family, epsilon)
                 assert w.params in calls
+        points = []
+        real_tail = oracle._tail
+
+        def counting_tail(law, family, p, y):
+            points.append(p)
+            return real_tail(law, family, p, y)
+        monkeypatch.setattr(oracle, "_tail", counting_tail)
         for family in FamilyId:
             grid = ac.default_grid(family)
-            calls.clear()
+            points.clear()
             ac.grid_infimum(family, 1.1, grid)
-            assert len(calls) == math.prod(len(a.values()) for a in grid.axes.values())
+            assert len(points) == math.prod(len(a.values()) for a in grid.axes.values())
 
     def test_ray_descriptions_exist_for_all_nine(self):
         for family in ac.ZERO_INFIMUM_FAMILIES:

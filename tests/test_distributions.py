@@ -219,7 +219,8 @@ def with_types(verdict):
 
 
 def typed_checked(ps):
-    return with_types(distributions._checked(ps))
+    law = distributions._FAMILIES[ps.family]
+    return with_types((law, *distributions._checked(law, ps.params)))
 
 
 def typed_reference(ps):

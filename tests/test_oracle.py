@@ -27,21 +27,21 @@ LAW_IDS = [f"{ps.family.value}-{i}" for i, ps in enumerate(PANEL_LAWS + RAY_LAWS
 def one_array_estimate(ps, y, n, seed):
     """The fraction of one array of n draws from a fresh PCG64(seed) stream."""
     law, p = _valid_law(ps)
-    m = law.moments(p)
+    mean, variance = law.moments(p)
     draws = law.sample(p, np.random.Generator(np.random.PCG64(seed)), n)
-    return np.count_nonzero(np.abs(draws - m.mean) >= y * math.sqrt(m.variance)) / n
+    return np.count_nonzero(np.abs(draws - mean) >= y * math.sqrt(variance)) / n
 
 
 def block_stream_estimate(ps, y, n, seed):
     """The fraction counted block by block in one thread, block i drawn from
     its own PCG64(seed).jumped(i) stream."""
     law, p = _valid_law(ps)
-    m = law.moments(p)
+    mean, variance = law.moments(p)
     hits = 0
     for i, start in enumerate(range(0, n, oracle._MC_BLOCK)):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(i))
         draws = law.sample(p, rng, min(oracle._MC_BLOCK, n - start))
-        hits += np.count_nonzero(np.abs(draws - m.mean) >= y * math.sqrt(m.variance))
+        hits += np.count_nonzero(np.abs(draws - mean) >= y * math.sqrt(variance))
     return hits / n
 
 
