@@ -1,5 +1,6 @@
 """Oracle engines: Monte Carlo tails, t-density quadrature, grid infima."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -10,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import anticonc as ac
-from anticonc import GridAxis, GridSpec, oracle
+from anticonc import FamilyId, GridAxis, GridSpec, ParamSet, distributions, oracle
 from anticonc.anticoncentration import _step
 from anticonc.distributions import _FAMILIES, _valid_law
-from anticonc.errors import DomainError
+from anticonc.errors import ConvergenceError, DomainError
 
 PANEL_LAWS = [law.panel for law in _FAMILIES.values()]
 # a point two steps along each of the nine witness rays
@@ -414,6 +417,158 @@ class TestGridInfimum:
         assert ac.tail_probability(est.argmin, 0.5).probability == est.value
 
 
+def grid_infimum_per_point(family, y, grid):
+    """(value, argmin) of the grid by the route grid_infimum took before it typed
+    its points itself: a ParamSet and a tail_probability call per point, and a
+    validate call, to word the refusal, only when that call raises DomainError."""
+    family = ac.FamilyId(family)
+    names = sorted(grid.axes)
+    value_lists = [grid.axes[name].values().tolist() for name in names]
+    best = best_ps = None
+    for combo in itertools.product(*value_lists):
+        point = dict(grid.fixed)
+        point.update(zip(names, combo))
+        ps = ParamSet(family, oracle._complete_point(family, point))
+        try:
+            tail = ac.tail_probability(ps, y).probability
+        except DomainError:
+            problems = ac.validate(ps)
+            if problems:
+                raise DomainError(f"grid point {ps.params!r} violates {family.value} "
+                                  "constraints: " + "; ".join(problems)) from None
+            raise
+        if best is None or tail < best:
+            best, best_ps = tail, ps
+    return best, best_ps
+
+
+def grid_outcome(route, family, y, grid):
+    """A route's value (its bits), its argmin's items in order with their types,
+    or the error it raised, by type and text."""
+    try:
+        value, argmin = route(family, y, grid)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.hex(), argmin.family, [(k, type(v), v) for k, v in argmin.params.items()]
+
+
+def grid_infimum_pair(family, y, grid):
+    est = ac.grid_infimum(family, y, grid)
+    assert est.grid is grid
+    return est.value, est.argmin
+
+
+# the names a grid may give each family's point: its fields, or a derived axis
+# with the rest (`oracle._complete_point`)
+GRID_NAMES = {
+    FamilyId.UNIFORM: [("a", "b"), ("b",)],
+    FamilyId.NEG_BINOMIAL: [("r", "p"), ("r", "q")],
+    FamilyId.PARETO: [("r", "A"), ("r_excess", "A")],
+    FamilyId.HYPERGEOMETRIC: [("M", "N", "n"), ("N", "n")],
+}
+# each name's range inside every family's domain that uses the name, then a
+# wider one past the domain on at least one side; both small enough that a
+# tail stays cheap
+NAME_RANGES = {
+    "a": ((-10.0, -0.01), (-10.0, 10.0)), "b": ((0.01, 10.0), (-1.0, 10.0)),
+    "lambda": ((0.01, 100.0), (-1.0, 100.0)), "mu": ((-5.0, 5.0), (-5.0, 5.0)),
+    "sigma": ((0.05, 30.0), (-1.0, 30.0)), "n": ((3.0, 300.0), (0.0, 300.0)),
+    "p": ((0.001, 0.999), (-0.1, 1.1)), "q": ((1e-6, 0.999), (-0.1, 1.1)),
+    "r": ((2.01, 50.0), (-1.0, 50.0)), "M": ((1.0, 1000.0), (0.0, 3000.0)),
+    "N": ((1001.0, 3000.0), (0.0, 3000.0)), "alpha": ((0.01, 100.0), (-0.5, 100.0)),
+    "beta": ((0.01, 10.0), (-1.0, 10.0)), "A": ((0.01, 10.0), (-1.0, 10.0)),
+    "r_excess": ((1e-6, 98.0), (-1.0, 98.0)), "zeta": ((0.0, 1.0), (0.0, 1.0)),
+}
+BAD_Y = [0.0, -1.0, math.nan, math.inf, True, "1"]
+
+
+@st.composite
+def grid_cases(draw):
+    """(family, y, GridSpec): axes and fixed fields over the family's names,
+    derived ones too; integer and float axes; ranges in and out of the domain;
+    now and then a name missing, an unknown name, or a bad y."""
+    family = draw(st.sampled_from(list(FamilyId)))
+    law = _FAMILIES[family]
+    names = list(draw(st.sampled_from(GRID_NAMES.get(family, [law.fields]))))
+    change = draw(st.sampled_from([None] * 10 + ["drop", "zeta"]))
+    if change == "drop" and len(names) > 1:
+        names.pop(draw(st.integers(0, len(names) - 1)))
+    elif change == "zeta":
+        names.append("zeta")
+    on_axes = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    axes, fixed = {}, {}
+    for name in names:
+        inside, wide = NAME_RANGES[name]
+        lo_end, hi_end = inside if draw(st.sampled_from([True] * 5 + [False])) else wide
+        ends = st.floats(lo_end, hi_end)
+        integer_name = name in law.integer_fields
+        if name in on_axes:
+            lo, hi = sorted((draw(ends), draw(ends)))
+            if lo == hi:
+                hi = lo + 1.0
+            scale = "logarithmic" if lo > 0 and draw(st.booleans()) else "linear"
+            integer = draw(st.sampled_from([True] * 5 + [False] if integer_name
+                                           else [False] * 3 + [True]))
+            axes[name] = GridAxis(lo, hi, draw(st.integers(2, 5)), scale, integer)
+        elif integer_name:
+            whole = st.integers(math.ceil(lo_end), math.floor(hi_end))
+            fixed[name] = draw(st.one_of(whole, whole.map(float), ends))
+        else:
+            fixed[name] = draw(ends)
+    if draw(st.integers(0, 9)) == 0:
+        y = draw(st.sampled_from(BAD_Y))
+    else:
+        y = draw(st.one_of(st.floats(0.05, 5.0), st.sampled_from([0.5, 1, 2.0])))
+    return family, y, GridSpec(axes, fixed)
+
+
+class TestGridRoute:
+    """grid_infimum types each point once and takes its tail from `_tail`; the
+    per-point ParamSet and tail_probability route it replaced is the oracle for
+    its value, its argmin and its refusals."""
+
+    @pytest.mark.parametrize("y", [0.5, 0.6, 1.0, 1.1, 2.0])
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_default_grids_match_the_per_point_route(self, family, y):
+        grid = ac.default_grid(family)
+        want = grid_outcome(grid_infimum_per_point, family, y, grid)
+        assert grid_outcome(grid_infimum_pair, family, y, grid) == want
+        assert want[0] not in ("DomainError", "ConvergenceError")
+
+    @given(grid_cases())
+    def test_drawn_grids_match_the_per_point_route(self, case):
+        family, y, grid = case
+        assert (grid_outcome(grid_infimum_pair, family, y, grid)
+                == grid_outcome(grid_infimum_per_point, family, y, grid))
+
+    def test_a_bad_first_point_is_named_before_a_bad_y(self):
+        grid = GridSpec(axes={"r": GridAxis(1.5, 3.0, 4)}, fixed={"A": 1.0})
+        want = ("DomainError", "grid point {'A': 1.0, 'r': 1.5} violates pareto constraints: "
+                "r must exceed 2 for finite variance")
+        for route in (grid_infimum_pair, grid_infimum_per_point):
+            assert grid_outcome(route, "pareto", -1.0, grid) == want
+
+    def test_a_grid_builds_one_param_set_and_no_tail_result(self, monkeypatch):
+        built = {"ParamSet": 0, "TailResult": 0}
+        for cls in (distributions.ParamSet, distributions.TailResult):
+            real_init = cls.__init__
+
+            def counting_init(self, *args, _init=real_init, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        def refuse(*args):
+            raise AssertionError("grid_infimum validated a point through a ParamSet")
+        monkeypatch.setattr(distributions, "validate", refuse)
+        monkeypatch.setattr(distributions, "_valid_law", refuse)
+        for family in FamilyId:
+            built.update(ParamSet=0, TailResult=0)
+            est = ac.grid_infimum(family, 1.1, ac.default_grid(family))
+            assert built == {"ParamSet": 1, "TailResult": 0}, family
+            assert est.argmin.family is family
+
+
 class TestGridSpecJson:
     def test_axis_validation(self):
         for points in (1, 2.5, True, 10**30):
@@ -427,3 +582,22 @@ class TestGridSpecJson:
             GridAxis(0.0, 1.0, 5, "sqrt")
         with pytest.raises(DomainError):
             GridSpec(axes={})
+
+    def test_a_grid_past_10_to_the_6_points_is_refused(self):
+        # 10**12 tail calls, were it accepted; each axis alone is within its cap
+        axis = GridAxis(1, 2, 10**6)
+        with pytest.raises(DomainError, match=r"grid axes make 1000000000000 points"):
+            GridSpec({"a": axis, "b": axis})
+        with pytest.raises(DomainError, match=r"grid axes make 1000002 points"):
+            GridSpec({"a": GridAxis(1, 2, 2), "b": GridAxis(1, 2, 500001)})
+        assert GridSpec({"a": axis}).axes["a"] is axis
+        assert len(GridSpec({"a": GridAxis(1, 2, 1000), "b": GridAxis(1, 2, 1000)}).axes) == 2
+
+    @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+    def test_default_and_verify_grids_stay_under_800_points(self, family):
+        # verify's grid_refinement sweeps each default axis at 2 * points - 1
+        grid = ac.default_grid(family)
+        assert math.prod(axis.points for axis in grid.axes.values()) < 800
+        for name, axis in grid.axes.items():
+            others = math.prod(a.points for n, a in grid.axes.items() if n != name)
+            assert (2 * axis.points - 1) * others < 800
