@@ -25,16 +25,18 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 from .distributions import (
+    Family,
     FamilyId,
     ParamSet,
     _FAMILIES,
-    _Ray,
     _as_family,
     _check_dof,
     _check_y,
+    _checked,
+    _invalid,
     _is_number,
+    _tail,
     student_t_cdf,
-    tail_probability,
 )
 from .errors import DomainError, SearchError
 from .specfun import clamp_probability
@@ -221,18 +223,18 @@ ZERO_INFIMUM_FAMILIES = frozenset(f for f, law in _FAMILIES.items() if law.ray i
 
 # --- epsilon-witness construction for the nine zero-infimum families ------
 
-def _ray(family: Union[FamilyId, str]) -> _Ray:
-    family = _as_family(family)
-    ray = _FAMILIES[family].ray
-    if ray is None:
+def _ray_law(family: FamilyId) -> Family:
+    """family's record, once it has a witness ray."""
+    law = _FAMILIES[family]
+    if law.ray is None:
         raise DomainError(f"family {family.value} is anti-concentrated: its tail "
                           "infimum is positive, so no epsilon-witness exists")
-    return ray
+    return law
 
 
 def witness_ray_description(family: Union[FamilyId, str]) -> str:
     """Human-readable description of the limiting construction used."""
-    return _ray(family).description
+    return _ray_law(_as_family(family)).ray.description
 
 
 # walk and interpolation steps a witness search may take before it gives up
@@ -357,16 +359,18 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
     float ray (the smallest subnormals are never within 10%), N and N - 1 on
     the integer one.  A float ray certifies a tail at most epsilon / 1.05,
     the integer ray a tail at most epsilon.  Each step after the first
-    point counts against _MAX_WITNESS_STEPS.  The achieved tail always
-    comes from the exact tail engine.  A search from the lead that leaves
-    the range of a double falls back on `ray.start`, which certifies a tail
-    of 0 where y puts both sides of its law out of the event (the
-    binomial, hypergeometric and beta at y = 2); where the start does not
-    certify, the DomainError naming the ray and the point past a double
-    stands.
+    point counts against _MAX_WITNESS_STEPS.  A point is the ray's dict,
+    typed by `_checked` (refused in `tail_probability`'s words), and its
+    tail is `_tail`'s float; one `ParamSet` and the `Witness` are built, for
+    the returned point.  A search from the lead that leaves the range of a
+    double falls back on `ray.start`, which certifies a tail of 0 where y
+    puts both sides of its law out of the event (the binomial,
+    hypergeometric and beta at y = 2); where the start does not certify,
+    the DomainError naming the ray and the point past a double stands.
     """
     family = _as_family(family)
-    ray = _ray(family)
+    law = _ray_law(family)
+    ray = law.ray
     y = _check_y(y)
     if not (_is_number(epsilon) and 0.0 < epsilon < 1.0):
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -383,7 +387,10 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
                               f"{_MAX_WITNESS_STEPS} steps (y={y}, epsilon={epsilon})")
         calls += 1
         try:
-            return tail_probability(ray.build(t), y).probability
+            p, problems = _checked(law, ray.build(t))
+            if problems:
+                raise _invalid(family, problems)
+            return _tail(law, family, p, y)
         except DomainError as exc:
             raise DomainError(f"the {family.value} witness ray ({ray.description}) "
                               f"leaves the range of a double at t = {t!r}: {exc}") from None
@@ -398,4 +405,4 @@ def witness_parameter(family: Union[FamilyId, str], y: float, epsilon: float) ->
             t, tail = ray.start, tail_at(ray.start)
             if tail > aim:
                 raise
-    return Witness(family, y, epsilon, ray.build(t), tail)
+    return Witness(family, y, epsilon, ParamSet(family, ray.build(t)), tail)

@@ -311,10 +311,11 @@ class _Ray:
     doubles.  The integer ray's lead is exact, the first N on the stretch
     with 1/N <= aim; a float ray's is a closed form or a few secant steps.
     The witness search starts at the lead, or at `start`, and walks toward
-    the limit, where the tail falls.
+    the limit, where the tail falls.  `build(t)` gives the point's
+    parameter dict, with the family's field names in field order.
     """
 
-    build: Callable[..., ParamSet]
+    build: Callable[..., dict]
     start: Union[float, int]
     description: str
     form: Callable[..., float]
@@ -658,26 +659,30 @@ def _secant_lead(form, guess, end):
     factor e^4 toward the limit; None where the stretch is empty or the
     form leaves (0, 1) on the way."""
     def lead(y: float, aim: float) -> Optional[float]:
-        top = min(end(y), 1.0)
-        t = _clipped(guess(y, aim), top)
-        if t is None:
+        top = end(y)
+        top = 1.0 if 1.0 < top else top
+        t = guess(y, aim)
+        t = top if top < t else t
+        if not t > 0.0:
             return None
         goal, u_top = math.log(-math.log(aim)), math.log(top)
-
-        def gap(u: float) -> float:
-            t = math.exp(u)
+        # the form at log t, then 0.1 toward the limit, then at each secant step
+        u1 = math.log(t)
+        for step in range(-1, 3):
+            t = math.exp(u1)
             f = form(t, y) if t > 0.0 else 0.0
-            return math.log(-math.log(f)) - goal if 0.0 < f < 1.0 else math.nan
-
-        u0, u1 = math.log(t), math.log(t) - 0.1
-        g0, g1 = gap(u0), gap(u1)
-        for step in range(3):
-            if not abs(g1 - g0) > 0.0:
+            g1 = math.log(-math.log(f)) - goal if 0.0 < f < 1.0 else math.nan
+            if step < 0:
+                u = u1 - 0.1
+            elif not abs(g1 - g0) > 0.0:
                 return None
-            u = min(max(u1 - g1 * (u1 - u0) / (g1 - g0), u1 - 4.0), u_top)
-            if step == 2 or abs(u - u1) < 1e-6:
-                return math.exp(u)
-            u0, g0, u1, g1 = u1, g1, u, gap(u)
+            else:
+                u, floor = u1 - g1 * (u1 - u0) / (g1 - g0), u1 - 4.0
+                u = floor if floor > u else u
+                u = u_top if u_top < u else u
+                if step == 2 or abs(u - u1) < 1e-6:
+                    return math.exp(u)
+            u0, g0, u1 = u1, g1, u
     return lead
 
 
@@ -791,7 +796,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=binomial(20, 0.3),
         grid=GridSpec({"p": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"n": 1}),
         # X = 1 alone lies in the event for t < min(y^2, 1) / (1 + y^2)
-        ray=_Ray(lambda t: binomial(1, t), 0.5, "n = 1, p -> 0", lambda t, y: t,
+        ray=_Ray(lambda t: {"n": 1, "p": t}, 0.5, "n = 1, p -> 0", lambda t, y: t,
                  lambda y, aim: _clipped(aim, 1.0 / (1.0 + _square(max(y, 1.0 / y))))),
         support=_binomial_support,
         log_pmfs=lambda p, k0, k1: (_binomial_log_pmf(p, k) for k in range(k0, k1 + 1))),
@@ -801,7 +806,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         method="special-function", abs_error_bound=1e-13,
         sample=lambda p, rng, size: rng.poisson(p["lambda"], size),
         panel=poisson(4.0), grid=GridSpec({"lambda": GridAxis(1e-4, 1e2, 200, "logarithmic")}),
-        ray=_Ray(lambda t: poisson(t), 0.5, "lambda -> 0", lambda t, y: -math.expm1(-t),
+        ray=_Ray(lambda t: {"lambda": t}, 0.5, "lambda -> 0", lambda t, y: -math.expm1(-t),
                  lambda y, aim: _clipped(-math.log1p(-aim), _lattice_end(y, 1.0))),
         # P(X <= k) = Q(k + 1, lambda) and P(X >= k) = P(k, lambda)
         **_on_lattice(lambda p, k: _gamma_tails(k + 1.0, p["lambda"])[1],
@@ -816,7 +821,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=neg_binomial(2.5, 0.4),
         grid=GridSpec({"q": GridAxis(1e-6, 0.5, 100, "logarithmic")}, {"r": 1.0}),
         # the tail is the law's q, 1 - (1 - t) as p = 1 - t rounds
-        ray=_Ray(lambda t: neg_binomial(1.0, 1.0 - t), 0.5, "r = 1, p -> 1",
+        ray=_Ray(lambda t: {"r": 1.0, "p": 1.0 - t}, 0.5, "r = 1, p -> 1",
                  lambda t, y: 1.0 - (1.0 - t), lambda y, aim: _clipped(aim, _lattice_end(y, 2.0))),
         # P(X <= k) = I_p(r, k + 1) and P(X >= k) = I_{1-p}(k, r), 1 - (1 - p) taken as p
         **_on_lattice(lambda p, k: _beta_tails(p["p"], 1.0 - p["p"], p["r"], k + 1.0)[0],
@@ -828,7 +833,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         sample=lambda p, rng, size: rng.hypergeometric(p["M"], p["N"] - p["M"], p["n"], size),
         panel=hypergeometric(30, 100, 20),
         grid=GridSpec({"N": GridAxis(2, 10**5, 60, "logarithmic", integer=True)}, {"n": 1}),
-        ray=_Ray(lambda N: hypergeometric(N - 1, N, 1), 2, "M = N - 1, n = 1, N -> infinity",
+        ray=_Ray(lambda N: {"M": N - 1, "N": N, "n": 1}, 2, "M = N - 1, n = 1, N -> infinity",
                  lambda N, y: 1 / N, _hypergeometric_lead),
         support=_hypergeometric_support, log_pmfs=_hypergeometric_log_pmfs),
     FamilyId.GAMMA: Family(
@@ -839,7 +844,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=gamma_family(2.5, 1.5),
         grid=GridSpec({"alpha": GridAxis(1e-6, 1e2, 120, "logarithmic")}, {"beta": 1.0}),
         # Q(t, x) is about t (-log(y sqrt(t)) - Euler's gamma) near the limit
-        ray=_Ray(lambda t: gamma_family(t, 1.0), 1.0, "beta = 1, alpha -> 0", _gamma_ray_form,
+        ray=_Ray(lambda t: {"alpha": t, "beta": 1.0}, 1.0, "beta = 1, alpha -> 0", _gamma_ray_form,
                  _secant_lead(_gamma_ray_form, lambda y, aim: aim / max(
                      1.0, -math.log(y) - 0.5 * math.log(aim) - 0.5772156649015329),
                      lambda y: y * y)),
@@ -854,7 +859,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=pareto(4.0, 2.0),
         grid=GridSpec({"r_excess": GridAxis(1e-6, 98.0, 120, "logarithmic")}, {"A": 1.0}),
         # the tail is about (2 + y sqrt(2/t))^-2 near the limit
-        ray=_Ray(lambda t: pareto(2.0 + t, 1.0), 1.0, "A = 1, r -> 2", _pareto_ray_form,
+        ray=_Ray(lambda t: {"r": 2.0 + t, "A": 1.0}, 1.0, "A = 1, r -> 2", _pareto_ray_form,
                  _secant_lead(_pareto_ray_form,
                               lambda y, aim: 2.0 * _square(y / max(aim ** -0.5 - 2.0, 1.0)),
                               lambda y: 2.0 * y * y / (1.0 - y * y) if y < 1.0 else math.inf)),
@@ -868,9 +873,9 @@ _FAMILIES: dict[FamilyId, Family] = {
         grid=GridSpec({"alpha": GridAxis(1e-3, 1e2, 120, "logarithmic")}, {"lambda": 1.0}),
         # (mu + y sigma)^t is about 2 / (e t) near the limit; the stretch has no
         # closed end, and off it the tail only exceeds the form
-        ray=_Ray(lambda t: weibull(t, 1.0), 1.0, "lambda = 1, alpha -> 0", _weibull_ray_form,
-                 _secant_lead(_weibull_ray_form, lambda y, aim: 2.0 / (math.e * -math.log(aim)),
-                              lambda y: math.inf)),
+        ray=_Ray(lambda t: {"alpha": t, "lambda": 1.0}, 1.0, "lambda = 1, alpha -> 0",
+                 _weibull_ray_form, _secant_lead(_weibull_ray_form, lambda y, aim: 2.0 / (
+                     math.e * -math.log(aim)), lambda y: math.inf)),
         cdf=lambda p, x: 0.0 if x <= 0.0 else -math.expm1(-p["lambda"] * x ** p["alpha"]),
         log_moments=_weibull_log_moments, cdf_at_log=_weibull_cdf_at_log,
         survival_at_log=_weibull_survival_at_log),
@@ -882,7 +887,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=log_normal(0.2, 0.6),
         grid=GridSpec({"sigma": GridAxis(0.1, 30.0, 120, "logarithmic")}, {"alpha": 0.0}),
         # the tail is about Phi(-1/t) near the limit
-        ray=_Ray(lambda t: log_normal(0.0, 1.0 / t), 1.0, "alpha = 0, sigma -> infinity",
+        ray=_Ray(lambda t: {"alpha": 0.0, "sigma": 1.0 / t}, 1.0, "alpha = 0, sigma -> infinity",
                  _lognormal_ray_form,
                  _secant_lead(_lognormal_ray_form,
                               lambda y, aim: 1.0 / math.sqrt(-2.0 * math.log(aim)), _lognormal_end)),
@@ -896,7 +901,7 @@ _FAMILIES: dict[FamilyId, Family] = {
         panel=beta_family(2.0, 5.0),
         grid=GridSpec({"q": GridAxis(1e-6, 1.0, 100, "logarithmic")}, {"p": 1.0}),
         # the tail is about t (-log(y sqrt(t/2))) near the limit
-        ray=_Ray(lambda t: beta_family(1.0, t), 1.0, "p = 1, q -> 0", _beta_ray_form,
+        ray=_Ray(lambda t: {"p": 1.0, "q": t}, 1.0, "p = 1, q -> 0", _beta_ray_form,
                  _secant_lead(_beta_ray_form, lambda y, aim: aim / max(
                      1.0, -math.log(y) - 0.5 * (math.log(aim) - math.log(2.0))),
                      lambda y: y * (y / (1.0 + math.hypot(1.0, y))))),
@@ -960,12 +965,17 @@ def validate(ps: ParamSet) -> list[str]:
     return _checked(_FAMILIES[ps.family], ps.params)[1]
 
 
+def _invalid(family: FamilyId, problems: list[str]) -> DomainError:
+    """The refusal of a parameter set of family with these problems."""
+    return DomainError(f"invalid {family.value} parameters: " + "; ".join(problems))
+
+
 def _valid_law(ps: ParamSet) -> tuple[Family, _Params]:
     """The record of ps's family and its typed parameters, once ps is valid."""
     law = _FAMILIES[ps.family]
     params, problems = _checked(law, ps.params)
     if problems:
-        raise DomainError(f"invalid {ps.family.value} parameters: " + "; ".join(problems))
+        raise _invalid(ps.family, problems)
     return law, params
 
 

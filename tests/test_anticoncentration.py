@@ -7,6 +7,7 @@ brute-force max over n <= 400 run against it.
 """
 
 import dataclasses
+import inspect
 import math
 import random
 import re
@@ -16,11 +17,14 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import anticonc as ac
 import exact
 from anticonc import FamilyId, anticoncentration, distributions, oracle
 from anticonc.errors import DomainError, SearchError
+from rays import ray_law
 
 SQRT3 = math.sqrt(3.0)
 
@@ -48,7 +52,7 @@ class TestFamilyRecords:
         ac.grid_infimum(family, 1.0, law.grid)  # raises at any invalid grid point
         assert ac.default_grid(family) is law.grid
         if law.ray is not None:
-            start = law.ray.build(law.ray.start)
+            start = ray_law(family, law.ray.start)
             assert start.family is family and ac.validate(start) == []
         # one verdict per family: a ray (zero infimum) or a closed-form A(y)
         zero = ac.classify(family) is ac.Classification.ZERO_INFIMUM
@@ -536,14 +540,15 @@ class TestWitnesses:
         w = ac.witness_parameter(family, 1.0, 1e-3)
         ray = distributions._FAMILIES[family].ray
         if isinstance(ray.start, int):
-            assert w.params == ray.build(1000)
+            assert w.params == ray_law(family, 1000)
         else:
-            assert w.params == ray.build(anticoncentration._LEAD_PULL * ray.lead(1.0, 1e-3 / 1.05))
+            assert w.params == ray_law(
+                family, anticoncentration._LEAD_PULL * ray.lead(1.0, 1e-3 / 1.05))
 
     def test_a_refused_lead_walks_and_interpolates(self, monkeypatch):
         # 1 - inner rounds the tail 1/100 of the lead N0 = 100 above 0.01:
         # N = 200 certifies in one walk step, and N = 101 in one interpolation
-        ps = distributions._FAMILIES[FamilyId.HYPERGEOMETRIC].ray.build(100)
+        ps = ray_law(FamilyId.HYPERGEOMETRIC, 100)
         assert ac.tail_probability(ps, 1.0).probability > 0.01
         monkeypatch.setattr(anticoncentration, "_MAX_WITNESS_STEPS", 2)
         assert ac.witness_parameter("hypergeometric", 1.0, 0.01).params["N"] == 101
@@ -577,16 +582,16 @@ class TestWitnesses:
         # the last t it tried is a point the tail engine refuses
         t = float(re.search(r"at t = (\S+):", message).group(1))
         with pytest.raises(DomainError, match=text):
-            ac.tail_probability(distributions._FAMILIES[FamilyId(family)].ray.build(t), 1.0)
+            ac.tail_probability(ray_law(family, t), 1.0)
 
     def test_tail_calls_per_search_stay_few(self, monkeypatch):
         # the curves ladder: the halving walk and bisection made 16.95 calls
         # a search on it, and 53 at most; the walk from ray.start 6.68 and 11,
         # the start at the lead 1.17 and 6
         calls = []
-        real = anticoncentration.tail_probability
-        monkeypatch.setattr(anticoncentration, "tail_probability",
-                            lambda ps, y: calls.append(ps) or real(ps, y))
+        real = anticoncentration._tail
+        monkeypatch.setattr(anticoncentration, "_tail",
+                            lambda law, family, p, y: calls.append(p) or real(law, family, p, y))
         counts = []
         for family in ac.ZERO_INFIMUM_FAMILIES:
             for y in (0.5, 1.0, 2.0):
@@ -595,20 +600,21 @@ class TestWitnesses:
                     ac.witness_parameter(family, y, 10.0 ** -k)
                     counts.append(len(calls))
         assert len(counts) == 189
+        assert min(counts) >= 1
         assert sum(counts) / len(counts) <= 1.5
         assert max(counts) <= 12
 
-    def test_searches_call_tail_probability_and_grids_call_tail_by_module_name(self, monkeypatch):
-        # bench/tracing.py counts the tails of each witness search by wrapping the
-        # tail_probability anticoncentration binds; a bypass reads 0.  A grid takes
-        # each point's float from the _tail oracle binds, one call per point
+    def test_searches_and_grids_call_tail_by_module_name(self, monkeypatch):
+        # a search takes each ray point's float from the _tail anticoncentration
+        # binds, and a grid each grid point's from the _tail oracle binds: one
+        # call per point, so a counter wrapped around either name sees them all
         calls = []
-        real = distributions.tail_probability
+        real_search_tail = anticoncentration._tail
 
-        def counting(ps, y):
-            calls.append(ps)
-            return real(ps, y)
-        monkeypatch.setattr(anticoncentration, "tail_probability", counting)
+        def counting(law, family, p, y):
+            calls.append(p)
+            return real_search_tail(law, family, p, y)
+        monkeypatch.setattr(anticoncentration, "_tail", counting)
         for family in sorted(ac.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value):
             law = distributions._FAMILIES[family]
             builds = []
@@ -624,7 +630,7 @@ class TestWitnesses:
                 w = ac.witness_parameter(family, 1.0, epsilon)
                 # one tail per point the search steps to; the last build is the witness's
                 assert len(calls) == len(builds) - 1 >= 1, (family, epsilon)
-                assert w.params in calls
+                assert w.params.params in calls
         points = []
         real_tail = oracle._tail
 
@@ -719,7 +725,7 @@ class TestRayForms:
         checked = 0
         for k in range(1, 41):
             t = 2 ** k if integer else 2.0 ** -k
-            ps = law.ray.build(t)
+            ps = ray_law(family, t)
             if not ray_tail_mp(ps, y)[0]:
                 continue
             checked += 1
@@ -755,6 +761,153 @@ class TestRayForms:
             assert w.achieved_tail <= epsilon
             assert exact.hypergeometric_tail(N - 1, N, 1, y) == Fraction(1, N)
             assert N >= math.ceil(1 / Fraction(epsilon)), (y, epsilon, N)
+
+
+def witness_per_step(family, y, epsilon):
+    """The witness by the route witness_parameter took before it typed its ray
+    points itself: a ParamSet and a tail_probability call per step, and the
+    returned point's ParamSet built again for the Witness."""
+    family = distributions._as_family(family)
+    ray = distributions._FAMILIES[family].ray
+    if ray is None:
+        raise DomainError(f"family {family.value} is anti-concentrated: its tail "
+                          "infimum is positive, so no epsilon-witness exists")
+    y = distributions._check_y(y)
+    if not (distributions._is_number(epsilon) and 0.0 < epsilon < 1.0):
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    epsilon = float(epsilon)
+    integer = isinstance(ray.start, int)
+    aim = epsilon if integer else epsilon / anticoncentration._FLOAT_MARGIN
+    calls = 0
+
+    def tail_at(t):
+        nonlocal calls
+        if calls > anticoncentration._MAX_WITNESS_STEPS:
+            raise SearchError(f"{family.value} witness search exceeded "
+                              f"{anticoncentration._MAX_WITNESS_STEPS} steps "
+                              f"(y={y}, epsilon={epsilon})")
+        calls += 1
+        try:
+            return ac.tail_probability(ray_law(family, t), y).probability
+        except DomainError as exc:
+            raise DomainError(f"the {family.value} witness ray ({ray.description}) "
+                              f"leaves the range of a double at t = {t!r}: {exc}") from None
+
+    search = anticoncentration._search
+    lead = ray.lead(y, aim)
+    if lead is None:
+        t, tail = search(aim, ray.start, tail_at)
+    else:
+        try:
+            t, tail = search(aim, lead if integer else anticoncentration._LEAD_PULL * lead,
+                             tail_at)
+        except DomainError:
+            t, tail = ray.start, tail_at(ray.start)
+            if tail > aim:
+                raise
+    return ac.Witness(family, y, epsilon, ray_law(family, t), tail)
+
+
+def witness_outcome(route, family, y, epsilon):
+    """A route's witness, its parameters' items in order with their types and
+    its tail's bits, or the error it raised, by type and text."""
+    try:
+        w = route(family, y, epsilon)
+    except (DomainError, SearchError) as exc:
+        return type(exc).__name__, str(exc)
+    assert (w.family, w.y, w.epsilon) == (FamilyId(family), y, epsilon)
+    assert ac.tail_probability(w.params, y).probability == w.achieved_tail
+    return (w.params.family, [(k, type(v), v) for k, v in w.params.params.items()],
+            w.achieved_tail.hex())
+
+
+def secant_lead_before(form, guess, end):
+    """_secant_lead as it was written with a gap closure, _clipped and
+    min(max(...)): the oracle for the doubles of the loop that replaced it."""
+    def lead(y, aim):
+        top = min(end(y), 1.0)
+        t = distributions._clipped(guess(y, aim), top)
+        if t is None:
+            return None
+        goal, u_top = math.log(-math.log(aim)), math.log(top)
+
+        def gap(u):
+            t = math.exp(u)
+            f = form(t, y) if t > 0.0 else 0.0
+            return math.log(-math.log(f)) - goal if 0.0 < f < 1.0 else math.nan
+
+        u0, u1 = math.log(t), math.log(t) - 0.1
+        g0, g1 = gap(u0), gap(u1)
+        for step in range(3):
+            if not abs(g1 - g0) > 0.0:
+                return None
+            u = min(max(u1 - g1 * (u1 - u0) / (g1 - g0), u1 - 4.0), u_top)
+            if step == 2 or abs(u - u1) < 1e-6:
+                return math.exp(u)
+            u0, g0, u1, g1 = u1, g1, u, gap(u)
+    return lead
+
+
+ZERO_FAMILIES = sorted(ac.ZERO_INFIMUM_FAMILIES, key=lambda f: f.value)
+SECANT_FAMILIES = [FamilyId.GAMMA, FamilyId.PARETO, FamilyId.WEIBULL, FamilyId.LOG_NORMAL,
+                   FamilyId.BETA]
+# y from [0.01, 5] or log-uniform from [1e-12, 1e12]
+DRAWN_Y = st.one_of(st.floats(0.01, 5.0), st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e))
+
+
+class TestWitnessRoute:
+    """witness_parameter types each ray point with `_checked` and takes its tail
+    from `_tail`; the per-step ParamSet and tail_probability route it replaced is
+    the oracle for its witnesses and its refusals, and the old secant loop for
+    the leads of the five rays that take one."""
+
+    # the ladder, and the searches that end at a floor, on the start or at 5e-324
+    @pytest.mark.parametrize("family", ZERO_FAMILIES, ids=lambda f: f.value)
+    def test_ladder_and_edge_searches_match_the_per_step_route(self, family):
+        cases = [(y, 10.0 ** -k) for y in (0.5, 1.0, 2.0) for k in range(2, 9)]
+        cases += [(1.0, 1e-40), (2.0, 1e-30), (1.0, 1e-30), (1.0, 5e-324), (1e12, 1e-300)]
+        for y, epsilon in cases:
+            assert (witness_outcome(ac.witness_parameter, family, y, epsilon)
+                    == witness_outcome(witness_per_step, family, y, epsilon)), (y, epsilon)
+
+    @given(st.sampled_from(ZERO_FAMILIES), DRAWN_Y,
+           st.floats(-300.0, math.log10(0.98)).map(lambda e: 10.0 ** e))
+    def test_drawn_searches_match_the_per_step_route(self, family, y, epsilon):
+        assert (witness_outcome(ac.witness_parameter, family, y, epsilon)
+                == witness_outcome(witness_per_step, family, y, epsilon))
+
+    def test_a_search_builds_one_param_set_and_no_tail_result(self, monkeypatch):
+        built = {"ParamSet": 0, "TailResult": 0}
+        for cls in (distributions.ParamSet, distributions.TailResult):
+            real_init = cls.__init__
+
+            def counting_init(self, *args, _init=real_init, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        def refuse(*args):
+            raise AssertionError("witness_parameter validated a point through a ParamSet")
+        monkeypatch.setattr(distributions, "_valid_law", refuse)
+        # the ladder's ends, a refused lead that walks, and a lead past a double
+        # that falls back on the start
+        cases = [(family, y, epsilon) for family in ZERO_FAMILIES
+                 for y, epsilon in ((0.5, 1e-2), (2.0, 1e-8))]
+        cases += [(FamilyId.HYPERGEOMETRIC, 1.0, 0.01), (FamilyId.HYPERGEOMETRIC, 2.0, 1e-30)]
+        for family, y, epsilon in cases:
+            built.update(ParamSet=0, TailResult=0)
+            w = ac.witness_parameter(family, y, epsilon)
+            assert built == {"ParamSet": 1, "TailResult": 0}, (family, y, epsilon)
+            assert w.params.family is family
+
+    @given(DRAWN_Y, st.floats(-320.0, -0.02).map(lambda e: 10.0 ** e))
+    def test_drawn_leads_match_the_old_loop(self, y, aim):
+        for family in SECANT_FAMILIES:
+            lead = distributions._FAMILIES[family].ray.lead
+            before = secant_lead_before(**inspect.getclosurevars(lead).nonlocals)
+            want, got = before(y, aim), lead(y, aim)
+            assert (got is None) == (want is None), (family, got, want)
+            assert got is None or got.hex() == want.hex(), family
 
 
 class TestSerialization:

@@ -19,11 +19,12 @@ from anticonc import FamilyId, GridAxis, GridSpec, ParamSet, distributions, orac
 from anticonc.anticoncentration import _step
 from anticonc.distributions import _FAMILIES, _valid_law
 from anticonc.errors import ConvergenceError, DomainError
+from rays import ray_law
 
 PANEL_LAWS = [law.panel for law in _FAMILIES.values()]
 # a point two steps along each of the nine witness rays
-RAY_LAWS = [law.ray.build(_step(_step(law.ray.start)))
-            for law in _FAMILIES.values() if law.ray is not None]
+RAY_LAWS = [ray_law(family, _step(_step(law.ray.start)))
+            for family, law in _FAMILIES.items() if law.ray is not None]
 LAW_IDS = [f"{ps.family.value}-{i}" for i, ps in enumerate(PANEL_LAWS + RAY_LAWS)]
 
 
