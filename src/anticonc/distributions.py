@@ -920,7 +920,7 @@ def _checked(law: Family, params: _Params) -> tuple[_Params, list[str]]:
     float).  The constraints are then checked on these typed values, the
     ones the record computes with.  A set that cannot be typed is handed
     back as it is, with the problems _untyped finds in it.  A ParamSet's
-    parameters and a grid's completed points both pass here."""
+    parameters, a grid's completed points and a ray's points pass here."""
     integer_fields = law.integer_fields
     typed = {}
     if len(params) == len(law.fields):
